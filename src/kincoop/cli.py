@@ -335,6 +335,13 @@ def sandbox(config_file, overrides, out_dir):
     out = _resolve_out_dir(plan.out_dir, out_dir)
 
     trace = run_sandbox(plan.sandbox, np.random.default_rng(plan.seed))
+    # verify before writing: a failed check leaves no outputs and no manifest
+    worst = replication_identity_error(trace)
+    extinct = f", extinct at step {trace.extinct_at}" if trace.extinct_at is not None else ""
+    click.echo(f"trace: {trace.steps} steps, final population {len(trace.states[-1])}{extinct}")
+    if worst > IDENTITY_TOLERANCE:
+        click.echo(f"identity check FAIL: max |replication - delta combined| = {worst:.3g}")
+        raise click.ClickException("replication/combined identity violated")
 
     trace_path = out / "sandbox_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as handle:
@@ -344,15 +351,7 @@ def sandbox(config_file, overrides, out_dir):
         write_rewards_csv(trace, handle)
     outputs = [trace_path, rewards_path]
     outputs.append(_write_manifest(out, "sandbox", resolved, [plan.seed], started, outputs))
-
-    worst = replication_identity_error(trace)
-    extinct = f", extinct at step {trace.extinct_at}" if trace.extinct_at is not None else ""
-    click.echo(f"trace: {trace.steps} steps, final population {len(trace.states[-1])}{extinct}")
-    if worst <= IDENTITY_TOLERANCE:
-        click.echo(f"identity check PASS: max |replication - delta combined| = {worst:.3g}")
-    else:
-        click.echo(f"identity check FAIL: max |replication - delta combined| = {worst:.3g}")
-        raise click.ClickException("replication/combined identity violated")
+    click.echo(f"identity check PASS: max |replication - delta combined| = {worst:.3g}")
 
 
 @main.command()

@@ -11,6 +11,7 @@ reproduction hands a quarter of the parent's health to a mutated child.
 from __future__ import annotations
 
 import csv
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Protocol, TextIO
@@ -77,43 +78,97 @@ def replication_reward(
     return float(born - died)
 
 
-class _SimilarityMemo:
-    """Pair-keyed cache so trace evaluation scales with distinct genotypes."""
+class _MatchCounts:
+    """Integer locus-match counts between genotypes, filled lazily.
+
+    Genotypes get dense ids in the order first seen, and a pair's count is
+    computed the first time it is asked for, so memory grows with the pairs
+    that actually meet, never with the size of the genotype space. The
+    float similarity ``matches / loci`` is kept beside each count; it is
+    bit-for-bit what ``hamming_similarity`` returns.
+    """
 
     def __init__(self):
-        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
+        self._ids: dict[Genotype, int] = {}
+        self._genes: list[tuple[int, ...]] = []
+        self._counts: list[dict[int, int]] = []
+        self._sims: list[dict[int, float]] = []
 
-    def __call__(self, a: Genotype, b: Genotype) -> float:
-        key = (a.genes, b.genes) if a.genes <= b.genes else (b.genes, a.genes)
-        h = self._cache.get(key)
-        if h is None:
-            h = hamming_similarity(a, b)
-            self._cache[key] = h
-        return h
+    def index(self, g: Genotype) -> int:
+        i = self._ids.get(g)
+        if i is None:
+            i = self._ids[g] = len(self._genes)
+            self._genes.append(g.genes)
+            self._counts.append({})
+            self._sims.append({})
+        return i
+
+    def _fill(self, i: int, js: list[int]) -> None:
+        a, counts, sims = self._genes[i], self._counts[i], self._sims[i]
+        for j in js:
+            if j not in counts:
+                b = self._genes[j]
+                if len(a) != len(b):
+                    raise ValueError(
+                        f"genotype lengths differ ({len(a)} vs {len(b)}); "
+                        "unequal-length genotypes are not supported"
+                    )
+                m = sum(1 for x, y in zip(a, b) if x == y)
+                counts[j] = self._counts[j][i] = m
+                sims[j] = self._sims[j][i] = m / len(a)
+
+    def matches(self, i: int, js: list[int]) -> list[int]:
+        """Match counts of genotype ``i`` against each id in ``js``, in order."""
+        try:
+            return list(map(self._counts[i].__getitem__, js))
+        except KeyError:
+            self._fill(i, js)
+            return list(map(self._counts[i].__getitem__, js))
+
+    def similarities(self, i: int, js: list[int]) -> list[float]:
+        """Hamming similarities of genotype ``i`` to each id in ``js``, in order."""
+        try:
+            return list(map(self._sims[i].__getitem__, js))
+        except KeyError:
+            self._fill(i, js)
+            return list(map(self._sims[i].__getitem__, js))
 
 
 def _step_rewards(
-    prev: PopulationState, curr: PopulationState, sim: _SimilarityMemo
+    prev: PopulationState, curr: PopulationState, matches: _MatchCounts
 ) -> dict[int, RewardTriple]:
+    """All three rewards of every agent alive in ``curr``.
+
+    Agents that share a genotype share a reward, so each ``RewardTriple``
+    is computed once per distinct genotype: O(G·(G + B + D)) similarity
+    lookups per step for G distinct genotypes alive, B births and D deaths,
+    instead of O(pop·(G + B + D)). The floats are exactly those of the
+    per-agent free functions summed in ``Counter`` order: the same terms
+    go through the same left-to-right ``sum``, because a learning policy
+    compares these values and a one-ulp change would alter its choices.
+    """
     counts = Counter(g for _, g in curr.alive)
     prev_ids = {aid for aid, _ in prev.alive}
     curr_ids = {aid for aid, _ in curr.alive}
-    born = [g for aid, g in curr.alive if aid not in prev_ids]
-    died = [g for aid, g in prev.alive if aid not in curr_ids]
-    rewards: dict[int, RewardTriple] = {}
-    for aid, g in curr.alive:
-        r_long = sum(sim(g, u) for u in counts)
-        r_comb = sum(c * sim(g, u) for u, c in counts.items())
-        r_repl = sum(sim(g, u) for u in born) - sum(sim(g, u) for u in died)
-        rewards[aid] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
-    return rewards
+    alive = [matches.index(u) for u in counts]
+    copies = list(counts.values())
+    born = [matches.index(g) for aid, g in curr.alive if aid not in prev_ids]
+    died = [matches.index(g) for aid, g in prev.alive if aid not in curr_ids]
+    by_genotype: dict[Genotype, RewardTriple] = {}
+    for g, i in zip(counts, alive):
+        sims = matches.similarities(i, alive)
+        r_long = sum(sims)
+        r_comb = sum(map(operator.mul, copies, sims))
+        r_repl = sum(matches.similarities(i, born)) - sum(matches.similarities(i, died))
+        by_genotype[g] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
+    return {aid: by_genotype[g] for aid, g in curr.alive}
 
 
 def evaluate_rewards(trace: "PopulationTrace") -> list[dict[int, RewardTriple]]:
     """All three rewards for every living agent at every step t >= 1."""
-    sim = _SimilarityMemo()
+    matches = _MatchCounts()
     return [
-        _step_rewards(trace.states[t - 1], trace.states[t], sim)
+        _step_rewards(trace.states[t - 1], trace.states[t], matches)
         for t in range(1, len(trace.states))
     ]
 
@@ -297,7 +352,7 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         pop_before=[],
         rewards=[],
     )
-    sim = _SimilarityMemo()
+    matches = _MatchCounts()
 
     for t in range(1, config.steps + 1):
         if not agents:
@@ -347,7 +402,7 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         trace.births.append(tuple((c.agent_id, c.genotype) for c in newborns))
         trace.deaths.append(tuple(dead))
 
-        step_rewards = _step_rewards(trace.states[t - 1], state, sim)
+        step_rewards = _step_rewards(trace.states[t - 1], state, matches)
         trace.rewards.append(step_rewards)
         for aid, reproduced in decisions.items():
             if aid in step_rewards:
@@ -363,18 +418,44 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
 def replication_identity_error(trace: PopulationTrace) -> float:
     """Worst mismatch between the two replication-reward routes.
 
-    Compares the event-based replication stream against the step-to-step
-    difference of the state-summed combined reward; both are exact
-    descriptions of the same quantity, so anything beyond float noise
-    indicates a bookkeeping bug.
+    Compares each agent's recorded replication reward, built from id-level
+    birth and death events, with the step-to-step change in its combined
+    reward, built from the states alone. Both describe the same quantity,
+    so anything beyond float noise indicates a bookkeeping bug.
+
+    The state side is exact: for each distinct genotype g of a state the
+    integer ``Σ_u count_u · matches(g, u)`` is computed once, and the
+    change is divided by ``loci`` a single time. Cost is O(T·G²) match
+    lookups for G distinct genotypes alive, not O(T·pop²).
     """
     rewards = trace.rewards if trace.rewards is not None else evaluate_rewards(trace)
+    matches = _MatchCounts()
+
+    def genotype_counts(state: PopulationState):
+        """Distinct genotypes of ``state``, their ids and copy counts, in Counter order."""
+        counts = Counter(g for _, g in state.alive)
+        return list(counts), [matches.index(g) for g in counts], list(counts.values())
+
+    def combined_int(i: int, ids: list[int], copies: list[int]) -> int:
+        return sum(map(operator.mul, copies, matches.matches(i, ids)))
+
     worst = 0.0
+    _, prev_ids, prev_copies = genotype_counts(trace.states[0])
+    prev_combined: dict[int, int] = {}
     for t in range(1, len(trace.states)):
-        prev, curr = trace.states[t - 1], trace.states[t]
+        curr = trace.states[t]
+        genotypes, ids, copies = genotype_counts(curr)
+        combined = {i: combined_int(i, ids, copies) for i in ids}
+        delta: dict[Genotype, float] = {}
+        for g, i in zip(genotypes, ids):
+            before = prev_combined.get(i)
+            if before is None:
+                before = combined_int(i, prev_ids, prev_copies)
+            delta[g] = (combined[i] - before) / len(g)
+        step = rewards[t - 1]
         for aid, g in curr.alive:
-            delta = combined_reward(g, curr) - combined_reward(g, prev)
-            worst = max(worst, abs(rewards[t - 1][aid].replication - delta))
+            worst = max(worst, abs(step[aid].replication - delta[g]))
+        prev_ids, prev_copies, prev_combined = ids, copies, combined
     return worst
 
 

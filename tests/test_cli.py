@@ -310,6 +310,17 @@ class TestSandboxCommand:
         assert trace[0] == "t,agent_id,genotype,health,event"
         assert len(trace) > 1
 
+    def test_failed_identity_check_writes_nothing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("kincoop.cli.replication_identity_error", lambda trace: 1.0)
+        write_cfg(tmp_path / "c.yaml", SAND_CFG)
+        result = runner.invoke(
+            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert "identity check FAIL" in result.output
+        assert list((tmp_path / "o").glob("sandbox_*.csv")) == []
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
     def test_zero_steps_empty_files(self, runner, tmp_path):
         cfg = dict(SAND_CFG)
         cfg["steps"] = 0

@@ -1,9 +1,11 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from kincoop.genotype import Genotype, GenotypeSpace, MutationSpec
+from kincoop import popreward
+from kincoop.genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity
 from kincoop.learning import LearnerConfig
 from kincoop.popreward import (
     AlwaysReproducePolicy,
@@ -11,6 +13,7 @@ from kincoop.popreward import (
     PopulationState,
     QReproductionPolicy,
     RandomPolicy,
+    RewardTriple,
     SandboxConfig,
     ThresholdPolicy,
     combined_reward,
@@ -306,6 +309,126 @@ class TestRewardIdentities:
                 assert triple.replication == pytest.approx(
                     replication_reward(geno, trace.states[t - 1], trace.states[t]), abs=1e-12
                 )
+
+
+def oracle_step_rewards(prev, curr, _matches=None):
+    """Per-agent rewards summed over ``hamming_similarity`` in ``Counter`` order."""
+    counts = Counter(geno for _, geno in curr.alive)
+    prev_ids = {aid for aid, _ in prev.alive}
+    curr_ids = {aid for aid, _ in curr.alive}
+    born = [geno for aid, geno in curr.alive if aid not in prev_ids]
+    died = [geno for aid, geno in prev.alive if aid not in curr_ids]
+    rewards = {}
+    for aid, me in curr.alive:
+        r_long = sum(hamming_similarity(me, u) for u in counts)
+        r_comb = sum(c * hamming_similarity(me, u) for u, c in counts.items())
+        r_repl = sum(hamming_similarity(me, u) for u in born) - sum(
+            hamming_similarity(me, u) for u in died
+        )
+        rewards[aid] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
+    return rewards
+
+
+POLICIES = {
+    "random": lambda: RandomPolicy(0.3),
+    "threshold": lambda: ThresholdPolicy(min_health=5.0),
+    **{
+        f"q-{kind}": lambda kind=kind: QReproductionPolicy(
+            LearnerConfig(alpha=0.1, epsilon0=1.0, decay=0.97, epsilon_min=0.01), kind
+        )
+        for kind in QReproductionPolicy.REWARD_KINDS
+    },
+}
+
+
+class TestRewardsBitExact:
+    """The per-genotype reward path equals the per-agent sums exactly.
+
+    The reference run swaps in the per-agent oracle for the step rewards,
+    so for the Q policies it also checks that every reward fed back to the
+    learner, and every choice it made from them, is unchanged.
+    """
+
+    def make_config(self, policy, mu):
+        return SandboxConfig(
+            space=GenotypeSpace(6, 2),
+            initial_genotype=Genotype((0,) * 6),
+            mutation=MutationSpec(mu),
+            initial_health=10.0,
+            food_rate=20,
+            steps=70,
+            policy=policy,
+        )
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_rewards_equal_per_agent_oracle(self, policy, mu, monkeypatch):
+        trace = run_sandbox(self.make_config(POLICIES[policy](), mu), np.random.default_rng(4))
+        with monkeypatch.context() as patch:
+            patch.setattr(popreward, "_step_rewards", oracle_step_rewards)
+            reference = run_sandbox(
+                self.make_config(POLICIES[policy](), mu), np.random.default_rng(4)
+            )
+        assert trace.steps > 10
+        assert trace.states == reference.states
+        assert trace.healths == reference.healths
+        assert trace.rewards == reference.rewards
+
+    def test_large_space_stays_sparse(self):
+        # 4**40 genotypes: only the pairs that meet may be tabulated
+        cfg = SandboxConfig(
+            space=GenotypeSpace(40, 4),
+            initial_genotype=Genotype((0,) * 40),
+            mutation=MutationSpec(0.3),
+            initial_health=10.0,
+            food_rate=20,
+            steps=40,
+            policy=RandomPolicy(0.3),
+        )
+        trace = run_sandbox(cfg, np.random.default_rng(1))
+        assert len({geno for s in trace.states for _, geno in s.alive}) > 20
+        assert replication_identity_error(trace) < 1e-9
+        for t in range(1, len(trace.states)):
+            assert trace.rewards[t - 1] == oracle_step_rewards(trace.states[t - 1], trace.states[t])
+
+
+class TestIdentityCheckSensitivity:
+    """The integer identity check catches single-unit bookkeeping errors."""
+
+    def make_trace(self):
+        cfg = SandboxConfig(
+            space=SPACE,
+            initial_genotype=ME,
+            mutation=MutationSpec(0.05),
+            initial_health=10.0,
+            food_rate=6,
+            steps=120,
+            policy=RandomPolicy(0.3),
+        )
+        trace = run_sandbox(cfg, np.random.default_rng(3))
+        assert replication_identity_error(trace) < 1e-9
+        return trace
+
+    def test_corrupted_replication_caught(self):
+        trace = self.make_trace()
+        t = len(trace.states) // 2
+        aid, _ = trace.states[t].alive[-1]
+        triple = trace.rewards[t - 1][aid]
+        trace.rewards[t - 1][aid] = triple._replace(replication=triple.replication + 1 / SPACE.loci)
+        assert replication_identity_error(trace) >= 1 / SPACE.loci - 1e-12
+
+    def test_dropped_newborn_caught(self):
+        trace = self.make_trace()
+        # a newborn whose genotype another agent alive at the same step carries
+        t, newborn = next(
+            (t, aid)
+            for t in range(1, len(trace.states))
+            for aid, geno in trace.births[t - 1]
+            if sum(1 for _, other in trace.states[t].alive if other == geno) >= 2
+        )
+        alive = trace.states[t].alive
+        trace.states[t] = PopulationState(tuple(p for p in alive if p[0] != newborn))
+        assert replication_identity_error(trace) >= 1 / SPACE.loci - 1e-12
 
 
 class TestTraceExports:
