@@ -45,7 +45,6 @@ from .experiments import (
     aggregate,
     bin_by_similarity,
     cooperator_proportion,
-    detect_convergence,
     run_discrimination,
     run_dispersal,
     run_experiment,

@@ -1,13 +1,24 @@
-"""Experiment orchestration: the two network experiments, convergence
-detection, seed sweeps, and aggregation.
+"""Experiment orchestration: the two network experiments, seed sweeps, and
+aggregation.
 
-Both runners share the same shape: independent myopic Q-learners play the
-dilemma against network neighbors, optionally crediting each opponent's
-payoff weighted by genetic similarity. Randomness is consumed in
-fixed-shape blocks every step, so two runs that differ only in reward
-wiring draw identical streams; that is what makes the zero-similarity
-override produce bit-identical results for the weighted and unweighted
-variants under a shared seed.
+Both experiments run one learning kernel, ``_learn``: independent myopic
+epsilon-greedy Q-learners with fair random tie-breaking, one per cell of a
+boolean state mask, with one convergence rule (greedy policy unchanged for
+a full window, epsilon at its floor). The two runners are thin wrappers
+that supply what differs:
+
+- ``run_discrimination``: a complete network, an N x N state mask (one
+  state per opponent; the diagonal is the self state, masked out without
+  self-play), and the pairwise reward against every opponent.
+- ``run_dispersal``: a sampled (or given) partition network, an N-vector
+  mask of agents that have neighbors, and the mean reward over all
+  neighbors, or the reward against one sampled neighbor.
+
+Optionally each reward credits the opponent's payoff weighted by genetic
+similarity. Randomness is consumed in fixed-shape blocks every step, so
+two runs that differ only in reward wiring draw identical streams; that
+is what makes the zero-similarity override produce bit-identical results
+for the weighted and unweighted variants under a shared seed.
 
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
@@ -19,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -109,24 +120,106 @@ class RunResult:
     q_values: np.ndarray
 
 
-def detect_convergence(
-    snapshots: Sequence[np.ndarray], window: int, epsilon_at_floor: bool = True
-) -> bool:
-    """Whether the greedy policy has been frozen for a full window.
+class _Learned(NamedTuple):
+    """What the learning kernel hands back; field names match ``RunResult``."""
 
-    True iff the last ``window`` snapshots are identical for every
-    (agent, state) entry and exploration has decayed to its floor.
+    coop_freq: np.ndarray
+    greedy_final: np.ndarray
+    converged_at: Optional[int]
+    steps_run: int
+    q_values: np.ndarray
+
+
+def _learn(
+    config: ExperimentConfig,
+    active: np.ndarray,
+    reward_fn: Callable[[np.ndarray], np.ndarray],
+    rng: np.random.Generator,
+) -> _Learned:
+    """Independent myopic epsilon-greedy Q-learners, one per cell of ``active``.
+
+    Every step draws three blocks of ``active.shape`` (explore flags, random
+    actions, tie coins), picks greedy actions with coin tie-breaks, asks
+    ``reward_fn`` for the reward of each cell's action (it may draw more
+    numbers from ``rng``), and moves the taken action's value toward it
+    wherever ``active``. The run stops early once the greedy policy has not
+    changed for a full window and epsilon is at its floor.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if not epsilon_at_floor or len(snapshots) < window:
-        return False
-    last = snapshots[-1]
-    return all(np.array_equal(snap, last) for snap in list(snapshots)[-window:])
+    learner = resolve_decay(config.learner, config.steps_max)
+    shape = active.shape
+    q = np.full(shape + (2,), learner.q_init, dtype=float)
+    cells = np.ix_(*(np.arange(size) for size in shape))  # q[(*cells, acts)]: taken values
+    inactive = ~active
+
+    coop_window: deque[np.ndarray] = deque(maxlen=config.window)
+    prev_greedy: Optional[np.ndarray] = None
+    stable_steps = 0
+    converged_at: Optional[int] = None
+    steps_run = 0
+
+    for t in range(config.steps_max):
+        eps = epsilon_at(learner, t)
+        explore = rng.random(shape) < eps
+        random_acts = rng.integers(0, 2, size=shape)
+        tie_coins = rng.integers(0, 2, size=shape)
+
+        gap = q[..., 0] - q[..., 1]
+        greedy = np.where(gap > 0, 0, np.where(gap < 0, 1, tie_coins))
+        acts = np.where(explore, random_acts, greedy)
+        reward = reward_fn(acts)
+
+        q_taken = q[(*cells, acts)]
+        q[(*cells, acts)] = np.where(
+            active, q_taken + learner.alpha * (reward - q_taken), q_taken
+        )
+
+        snapshot = np.sign(q[..., 0] - q[..., 1]).astype(np.int8)
+        snapshot[inactive] = 0
+        coop_window.append((snapshot.astype(float) + 1.0) / 2.0)
+        if prev_greedy is not None and np.array_equal(snapshot, prev_greedy):
+            stable_steps += 1
+        else:
+            stable_steps = 1
+        prev_greedy = snapshot
+        steps_run = t + 1
+        if stable_steps >= config.window and eps <= learner.epsilon_min:
+            converged_at = steps_run
+            break
+
+    coop_freq = np.mean(np.stack(coop_window), axis=0)
+    return _Learned(coop_freq, prev_greedy, converged_at, steps_run, q)
 
 
-def _greedy_sign(q_coop: np.ndarray, q_defect: np.ndarray) -> np.ndarray:
-    return np.sign(q_coop - q_defect).astype(np.int8)
+def _similarity(
+    genotypes: Sequence[Genotype], override: Optional[np.ndarray]
+) -> np.ndarray:
+    if override is None:
+        return similarity_matrix(list(genotypes))
+    sim = np.array(override, dtype=float)
+    if sim.shape != (len(genotypes), len(genotypes)):
+        raise ValueError("similarity override has the wrong shape")
+    return sim
+
+
+def _run_result(
+    config: ExperimentConfig,
+    seed: int,
+    net: NetworkTopology,
+    sim: np.ndarray,
+    state_mask: Optional[np.ndarray],
+    learned: _Learned,
+) -> RunResult:
+    mean_deg, min_deg, isolated = degree_stats(net)
+    return RunResult(
+        kind=config.kind,
+        seed=seed,
+        state_mask=state_mask,
+        mean_degree=mean_deg,
+        min_degree=min_deg,
+        isolated_count=isolated,
+        similarity=sim,
+        **learned._asdict(),
+    )
 
 
 def cooperator_proportion(greedy_final: np.ndarray) -> float:
@@ -158,82 +251,20 @@ def run_discrimination(
         raise ValueError(f"too many agents ({n_agents}) for a complete-network run")
 
     net = build_complete_network(genotypes)
-    mean_deg, min_deg, isolated = degree_stats(net)
-    if similarity_override is not None:
-        sim = np.array(similarity_override, dtype=float)
-        if sim.shape != (n_agents, n_agents):
-            raise ValueError("similarity override has the wrong shape")
-    else:
-        sim = similarity_matrix(genotypes)
+    sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-
-    learner = resolve_decay(config.learner, config.steps_max)
-    rng = np.random.default_rng(seed)
-    pm = payoff_matrix(config.dilemma)
-
-    q = np.full((n_agents, n_agents, 2), learner.q_init, dtype=float)
     state_mask = np.ones((n_agents, n_agents), dtype=bool)
     if not config.self_play:
         np.fill_diagonal(state_mask, False)
-    rows = np.arange(n_agents)[:, None]
-    cols = np.arange(n_agents)[None, :]
+    pm = payoff_matrix(config.dilemma)
 
-    coop_window: deque[np.ndarray] = deque(maxlen=config.window)
-    prev_greedy: Optional[np.ndarray] = None
-    stable_steps = 0
-    converged_at: Optional[int] = None
-    steps_run = 0
-
-    for t in range(config.steps_max):
-        eps = epsilon_at(learner, t)
-        explore = rng.random((n_agents, n_agents)) < eps
-        random_acts = rng.integers(0, 2, size=(n_agents, n_agents))
-        tie_coins = rng.integers(0, 2, size=(n_agents, n_agents))
-
-        gap = q[:, :, 0] - q[:, :, 1]
-        greedy = np.where(gap > 0, 0, np.where(gap < 0, 1, tie_coins))
-        acts = np.where(explore, random_acts, greedy)
-
+    def reward_fn(acts: np.ndarray) -> np.ndarray:
         payoff = pm[acts, acts.T]  # payoff[i, j]: i's individual payoff vs j
-        if config.inclusive:
-            reward = payoff + weights * payoff.T
-        else:
-            reward = payoff
+        return payoff + weights * payoff.T if config.inclusive else payoff
 
-        q_taken = q[rows, cols, acts]
-        q[rows, cols, acts] = np.where(
-            state_mask, q_taken + learner.alpha * (reward - q_taken), q_taken
-        )
-
-        snapshot = _greedy_sign(q[:, :, 0], q[:, :, 1])
-        snapshot[~state_mask] = 0
-        coop_window.append((snapshot.astype(float) + 1.0) / 2.0)
-        if prev_greedy is not None and np.array_equal(snapshot, prev_greedy):
-            stable_steps += 1
-        else:
-            stable_steps = 1
-        prev_greedy = snapshot
-        steps_run = t + 1
-        if stable_steps >= config.window and eps <= learner.epsilon_min:
-            converged_at = steps_run
-            break
-
-    coop_freq = np.mean(np.stack(coop_window), axis=0)
-    return RunResult(
-        kind=config.kind,
-        seed=seed,
-        coop_freq=coop_freq,
-        state_mask=state_mask,
-        greedy_final=prev_greedy,
-        converged_at=converged_at,
-        steps_run=steps_run,
-        mean_degree=mean_deg,
-        min_degree=min_deg,
-        isolated_count=isolated,
-        similarity=sim,
-        q_values=q,
-    )
+    learned = _learn(config, state_mask, reward_fn, np.random.default_rng(seed))
+    return _run_result(config, seed, net, sim, state_mask, learned)
 
 
 def run_dispersal(
@@ -265,92 +296,51 @@ def run_dispersal(
             genotypes = enumerate_genotypes(config.space)
         net = build_partition_network(config.partition, genotypes, rng)
     n_agents = net.node_count
-    mean_deg, min_deg, isolated = degree_stats(net)
-
-    if similarity_override is not None:
-        sim = np.array(similarity_override, dtype=float)
-        if sim.shape != (n_agents, n_agents):
-            raise ValueError("similarity override has the wrong shape")
-    else:
-        sim = similarity_matrix(list(net.genotypes))
+    sim = _similarity(net.genotypes, similarity_override)
 
     adjacency = net.adjacency()
-    adj_f = adjacency.astype(float)
-    degrees = adj_f.sum(axis=1)
-    has_neighbors = degrees > 0
-    degree_safe = np.maximum(degrees, 1.0)
-    neighbor_lists = [np.flatnonzero(adjacency[i]) for i in range(n_agents)]
-
-    learner = resolve_decay(config.learner, config.steps_max)
+    has_neighbors = adjacency.any(axis=1)
     pm = payoff_matrix(config.dilemma)
 
-    q = np.full((n_agents, 2), learner.q_init, dtype=float)
-    idx = np.arange(n_agents)
+    if config.edge_sampling:
+        # Neighbor lists in CSR form. The trailing pad keeps an isolated
+        # agent's empty slice indexable; the kernel masks its update.
+        rows, cols = np.nonzero(adjacency)
+        nbr_index = np.append(cols, 0)
+        nbr_count = np.bincount(rows, minlength=n_agents)
+        nbr_start = np.cumsum(nbr_count) - nbr_count
+        agents = np.arange(n_agents)
 
-    coop_window: deque[np.ndarray] = deque(maxlen=config.window)
-    prev_greedy: Optional[np.ndarray] = None
-    stable_steps = 0
-    converged_at: Optional[int] = None
-    steps_run = 0
-
-    for t in range(config.steps_max):
-        eps = epsilon_at(learner, t)
-        explore = rng.random(n_agents) < eps
-        random_acts = rng.integers(0, 2, size=n_agents)
-        tie_coins = rng.integers(0, 2, size=n_agents)
-
-        gap = q[:, 0] - q[:, 1]
-        greedy = np.where(gap > 0, 0, np.where(gap < 0, 1, tie_coins))
-        acts = np.where(explore, random_acts, greedy)
-
-        payoff = pm[acts[:, None], acts[None, :]]
-        if config.inclusive:
-            pair_reward = payoff + sim * payoff.T
-        else:
-            pair_reward = payoff
-
-        if config.edge_sampling:
+        # Only each agent's picked pair is evaluated, with the same float
+        # operations as that cell of the dense pair reward below.
+        def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
-            reward = np.zeros(n_agents)
-            for i in range(n_agents):
-                nbrs = neighbor_lists[i]
-                if len(nbrs):
-                    reward[i] = pair_reward[i, nbrs[int(picks[i] * len(nbrs))]]
-        else:
-            reward = (pair_reward * adj_f).sum(axis=1) / degree_safe
+            partner = nbr_index[nbr_start + (picks * nbr_count).astype(np.intp)]
+            payoff = pm[acts, acts[partner]]
+            if config.inclusive:
+                return payoff + sim[agents, partner] * pm[acts[partner], acts]
+            return payoff
 
-        q_taken = q[idx, acts]
-        q[idx, acts] = np.where(
-            has_neighbors, q_taken + learner.alpha * (reward - q_taken), q_taken
-        )
+    else:
+        adj_f = adjacency.astype(float)
+        degree_safe = np.maximum(adj_f.sum(axis=1), 1.0)
+        # Reused across steps: on large networks, N x N temporaries freed at
+        # every return are handed back to the OS and page-fault when
+        # reallocated.
+        pair_reward = np.empty((n_agents, n_agents))
 
-        snapshot = _greedy_sign(q[:, 0], q[:, 1])
-        coop_window.append((snapshot.astype(float) + 1.0) / 2.0)
-        if prev_greedy is not None and np.array_equal(snapshot, prev_greedy):
-            stable_steps += 1
-        else:
-            stable_steps = 1
-        prev_greedy = snapshot
-        steps_run = t + 1
-        if stable_steps >= config.window and eps <= learner.epsilon_min:
-            converged_at = steps_run
-            break
+        def reward_fn(acts: np.ndarray) -> np.ndarray:
+            payoff = pm[acts[:, None], acts[None, :]]
+            if config.inclusive:
+                np.multiply(sim, payoff.T, out=pair_reward)
+                np.add(pair_reward, payoff, out=pair_reward)
+                np.multiply(pair_reward, adj_f, out=pair_reward)
+            else:
+                np.multiply(payoff, adj_f, out=pair_reward)
+            return pair_reward.sum(axis=1) / degree_safe
 
-    coop_freq = np.mean(np.stack(coop_window), axis=0)
-    return RunResult(
-        kind=config.kind,
-        seed=seed,
-        coop_freq=coop_freq,
-        state_mask=None,
-        greedy_final=prev_greedy,
-        converged_at=converged_at,
-        steps_run=steps_run,
-        mean_degree=mean_deg,
-        min_degree=min_deg,
-        isolated_count=isolated,
-        similarity=sim,
-        q_values=q,
-    )
+    learned = _learn(config, has_neighbors, reward_fn, rng)
+    return _run_result(config, seed, net, sim, None, learned)
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> RunResult:

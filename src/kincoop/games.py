@@ -13,10 +13,6 @@ class Action(IntEnum):
     COOPERATE = 0
     DEFECT = 1
 
-    @property
-    def short(self) -> str:
-        return "C" if self is Action.COOPERATE else "D"
-
 
 @dataclass(frozen=True)
 class DilemmaParams:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import Hashable, Mapping, Optional, TextIO
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -119,14 +118,3 @@ def select_action(
     if best is None:
         return Action(int(rng.integers(2)))
     return best
-
-
-def write_qtables_csv(tables: Mapping[Hashable, QTable], stream: TextIO) -> None:
-    """Dump Q-tables as "agent,state,action,value" rows for inspection."""
-    writer = csv.writer(stream)
-    writer.writerow(["agent", "state", "action", "value"])
-    for agent in sorted(tables, key=repr):
-        table = tables[agent]
-        for state in table.states():
-            for action in (Action.COOPERATE, Action.DEFECT):
-                writer.writerow([agent, state, action.short, repr(table.get(state, action))])

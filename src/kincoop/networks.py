@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -182,18 +181,3 @@ def build_partition_network(
     return build_partition_network_with_probs(
         spec.community_size, genotypes, p_in, p_out, rng
     )
-
-
-def write_edge_list(net: NetworkTopology, stream: TextIO) -> None:
-    """One "u,v" pair per line."""
-    for u, v in net.edges:
-        stream.write(f"{u},{v}\n")
-
-
-def write_node_table(net: NetworkTopology, stream: TextIO) -> None:
-    """Node table as "index,community,genotype" lines with a header."""
-    stream.write("index,community,genotype\n")
-    for node in range(net.node_count):
-        stream.write(
-            f"{node},{net.communities[node]},{net.genotypes[node].to_string()}\n"
-        )

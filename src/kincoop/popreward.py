@@ -10,6 +10,7 @@ reproduction hands a quarter of the parent's health to a mutated child.
 
 from __future__ import annotations
 
+import copy
 import csv
 import operator
 from collections import Counter
@@ -331,8 +332,11 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
 
     Rewards for all three signals are recorded every step; agents that
     acted receive their chosen reward back through the policy's feedback
-    hook, so learning policies train online.
+    hook, so learning policies train online. The run works on a copy of
+    ``config.policy``, so a learning policy starts fresh every call and the
+    same config and seed always give the same trace.
     """
+    policy = copy.deepcopy(config.policy)
     agents: dict[int, SandboxAgent] = {
         0: SandboxAgent(0, config.initial_genotype, float(config.initial_health))
     }
@@ -378,7 +382,7 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         newborns: list[SandboxAgent] = []
         for a in living:
             reproduced = False
-            if config.policy.decide(a, rng):
+            if policy.decide(a, rng):
                 share = a.health / 4.0
                 if share > 0:
                     a.health -= share
@@ -406,7 +410,7 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         trace.rewards.append(step_rewards)
         for aid, reproduced in decisions.items():
             if aid in step_rewards:
-                config.policy.feedback(aid, reproduced, step_rewards[aid])
+                policy.feedback(aid, reproduced, step_rewards[aid])
 
         if not agents:
             trace.extinct_at = t

@@ -7,7 +7,6 @@ from kincoop.experiments import (
     aggregate,
     bin_by_similarity,
     cooperator_proportion,
-    detect_convergence,
     run_discrimination,
     run_dispersal,
     run_experiment,
@@ -46,6 +45,9 @@ def small_dispersal(**kwargs):
     return ExperimentConfig(**base)
 
 
+SMALL = {"discrimination": small_discrimination, "dispersal": small_dispersal}
+
+
 class TestConfigValidation:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -69,25 +71,30 @@ class TestConfigValidation:
             run_dispersal(cfg, 0)
 
 
-class TestDetectConvergence:
-    def test_stable_with_floor(self):
-        snap = np.array([1, -1, 0], dtype=np.int8)
-        assert detect_convergence([snap.copy() for _ in range(5)], 5, True)
+class TestConvergence:
+    """The learning kernel's stop rule, shared by both runners: the greedy
+    policy unchanged for a full window with epsilon at its floor."""
 
-    def test_flip_inside_window(self):
-        snaps = [np.array([1, 1]), np.array([1, -1]), np.array([1, -1])]
-        assert not detect_convergence(snaps, 3, True)
+    @pytest.mark.parametrize("kind", sorted(SMALL))
+    def test_early_stop_when_floor_reachable(self, kind):
+        # near-zero floor: once exploration dies the policy freezes and the
+        # run stops a window after the floor is reached
+        cfg = SMALL[kind](
+            learner=LearnerConfig(epsilon0=1.0, decay=0.9, epsilon_min=1e-6),
+            steps_max=900,
+            window=100,
+        )
+        res = run_experiment(cfg, 1)
+        assert res.converged_at is not None
+        assert res.converged_at == res.steps_run < 900
 
-    def test_epsilon_above_floor(self):
-        snap = np.array([1])
-        assert not detect_convergence([snap.copy() for _ in range(4)], 4, False)
-
-    def test_too_short_history(self):
-        assert not detect_convergence([np.array([1])], 2, True)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            detect_convergence([], 0, True)
+    @pytest.mark.parametrize("kind", sorted(SMALL))
+    def test_no_stop_above_floor(self, kind):
+        # the default schedule reaches its floor only after the step budget
+        cfg = SMALL[kind](steps_max=400, window=50)
+        res = run_experiment(cfg, 1)
+        assert res.converged_at is None
+        assert res.steps_run == 400
 
 
 class TestDiscriminationRunner:
@@ -139,18 +146,6 @@ class TestDiscriminationRunner:
         res = run_discrimination(cfg, 2)
         assert res.converged_at is None or res.converged_at <= cfg.steps_max
         assert res.steps_run <= cfg.steps_max
-
-    def test_early_stop_when_floor_reachable(self):
-        # near-zero floor: once exploration dies the policy freezes and the
-        # run stops a window after the floor is reached
-        cfg = small_discrimination(
-            learner=LearnerConfig(epsilon0=1.0, decay=0.9, epsilon_min=1e-6),
-            steps_max=900,
-            window=100,
-        )
-        res = run_discrimination(cfg, 1)
-        assert res.converged_at is not None
-        assert res.converged_at == res.steps_run < 900
 
     def test_threshold_pattern_small_space(self):
         # c/b = 0.25: lattice {0} defects, {1/3, 2/3, 1} cooperate

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +12,6 @@ from kincoop.learning import (
     q_update,
     resolve_decay,
     select_action,
-    write_qtables_csv,
 )
 
 C, D = Action.COOPERATE, Action.DEFECT
@@ -153,17 +150,6 @@ class TestSelectAction:
 
 
 class TestQTableDump:
-    def test_csv_format(self):
-        t = QTable()
-        t.update(3, C, 1.0, 1.0)
-        t.update(3, D, -0.5, 1.0)
-        buf = io.StringIO()
-        write_qtables_csv({0: t}, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "agent,state,action,value"
-        assert lines[1] == "0,3,C,1.0"
-        assert lines[2] == "0,3,D,-0.5"
-
     def test_missing_entries_read_as_init(self):
         t = QTable(q_init=0.25)
         assert t.get("never-seen", C) == 0.25

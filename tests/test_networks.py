@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,8 +13,6 @@ from kincoop.networks import (
     build_partition_network_with_probs,
     degree_stats,
     derive_partition_probs,
-    write_edge_list,
-    write_node_table,
 )
 
 EIGHT_GENOTYPES = enumerate_genotypes(GenotypeSpace(3, 2))
@@ -192,20 +188,3 @@ class TestPartitionNetwork:
         net = build_partition_network(spec, EIGHT_GENOTYPES, np.random.default_rng(17))
         assert all(u < v for u, v in net.edges)
         assert len(set(net.edges)) == len(net.edges)
-
-
-class TestExports:
-    def test_edge_list_format(self):
-        net = build_complete_network(EIGHT_GENOTYPES[:3])
-        buf = io.StringIO()
-        write_edge_list(net, buf)
-        assert buf.getvalue() == "0,1\n0,2\n1,2\n"
-
-    def test_node_table_format(self):
-        net = build_complete_network(EIGHT_GENOTYPES[:2])
-        buf = io.StringIO()
-        write_node_table(net, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "index,community,genotype"
-        assert lines[1] == "0,0,0-0-0"
-        assert lines[2] == "1,1,0-0-1"

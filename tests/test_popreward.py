@@ -213,21 +213,35 @@ class TestSandbox:
             expected = before - trace.pop_before[t - 1] + trace.food_consumed[t - 1] - residuals
             assert after == pytest.approx(expected, abs=1e-9)
 
-    def test_q_policy_learns_online(self):
+    @staticmethod
+    def q_config(reward_kind):
         learner = LearnerConfig(alpha=0.2, epsilon0=1.0, decay=0.99, epsilon_min=0.02)
-        policy = QReproductionPolicy(learner, reward_kind="combined")
-        cfg = SandboxConfig(
+        return SandboxConfig(
             space=SPACE,
             initial_genotype=ME,
             mutation=MutationSpec(0.05),
             initial_health=10.0,
             food_rate=6,
             steps=200,
-            policy=policy,
+            policy=QReproductionPolicy(learner, reward_kind=reward_kind),
         )
-        trace = run_sandbox(cfg, np.random.default_rng(2))
-        assert trace.steps > 0
-        assert policy.tables  # feedback reached the learner
+
+    def test_q_policy_learns_online(self):
+        # the draws do not depend on the reward, so the traces part only if
+        # feedback reached the learner and changed its choices
+        combined = run_sandbox(self.q_config("combined"), np.random.default_rng(2))
+        longevity = run_sandbox(self.q_config("longevity"), np.random.default_rng(2))
+        assert combined.steps > 0
+        assert combined.states != longevity.states
+
+    def test_rerun_with_same_config_identical(self):
+        # each run learns on its own copy of the policy, so nothing carries over
+        cfg = self.q_config("combined")
+        first = run_sandbox(cfg, np.random.default_rng(2))
+        second = run_sandbox(cfg, np.random.default_rng(2))
+        assert first.states == second.states
+        assert first.rewards == second.rewards
+        assert not cfg.policy.tables
 
     def test_threshold_policy(self):
         policy = ThresholdPolicy(min_health=100.0)
