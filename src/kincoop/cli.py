@@ -28,7 +28,7 @@ from .config import (
     resolve_config,
 )
 from .experiments import SweepTask, aggregate, run_sweep
-from .ioutil import fmt, write_atomic_json
+from .ioutil import fmt, write_atomic, write_atomic_json
 from .networks import InfeasiblePartitionError
 from .popreward import (
     replication_identity_error,
@@ -181,7 +181,7 @@ def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot
     rows.sort(key=lambda r: (r[0], r[1]))
 
     csv_path = out / "discrimination.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+    with write_atomic(csv_path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["c_over_b", "h", "coop_freq_mean", "coop_freq_se", "n_seeds"])
         for c_over_b, h, mean, se, n in rows:
@@ -205,15 +205,15 @@ def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot
                 )
             )
         svg_path = out / "discrimination.svg"
-        svg_path.write_text(
-            line_chart(
-                series,
-                title="Cooperation frequency vs. opponent similarity",
-                xlabel="Hamming similarity h",
-                ylabel="cooperation frequency",
-            ),
-            encoding="utf-8",
-        )
+        with write_atomic(svg_path) as handle:
+            handle.write(
+                line_chart(
+                    series,
+                    title="Cooperation frequency vs. opponent similarity",
+                    xlabel="Hamming similarity h",
+                    ylabel="cooperation frequency",
+                )
+            )
         outputs.append(svg_path)
 
     outputs.append(_write_manifest(out, "discrimination", resolved, plan.seeds, started, outputs))
@@ -269,7 +269,7 @@ def dispersal(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     csv_path = out / "dispersal.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+    with write_atomic(csv_path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["eta", "b_over_c", "inclusive", "coop_prop_mean", "coop_prop_se", "n_seeds"])
         for eta, boc, incl, mean, se, n in rows:
@@ -298,15 +298,15 @@ def dispersal(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
                     )
                 )
         svg_path = out / "dispersal.svg"
-        svg_path.write_text(
-            line_chart(
-                series,
-                title="Cooperator proportion vs. benefit-to-cost ratio",
-                xlabel="b/c",
-                ylabel="proportion of cooperators",
-            ),
-            encoding="utf-8",
-        )
+        with write_atomic(svg_path) as handle:
+            handle.write(
+                line_chart(
+                    series,
+                    title="Cooperator proportion vs. benefit-to-cost ratio",
+                    xlabel="b/c",
+                    ylabel="proportion of cooperators",
+                )
+            )
         outputs.append(svg_path)
 
     outputs.append(_write_manifest(out, "dispersal", resolved, plan.seeds, started, outputs))
@@ -344,10 +344,10 @@ def sandbox(config_file, overrides, out_dir):
         raise click.ClickException("replication/combined identity violated")
 
     trace_path = out / "sandbox_trace.csv"
-    with open(trace_path, "w", newline="", encoding="utf-8") as handle:
+    with write_atomic(trace_path, newline="") as handle:
         write_trace_csv(trace, handle)
     rewards_path = out / "sandbox_rewards.csv"
-    with open(rewards_path, "w", newline="", encoding="utf-8") as handle:
+    with write_atomic(rewards_path, newline="") as handle:
         write_rewards_csv(trace, handle)
     outputs = [trace_path, rewards_path]
     outputs.append(_write_manifest(out, "sandbox", resolved, [plan.seed], started, outputs))

@@ -20,6 +20,18 @@ two runs that differ only in reward wiring draw identical streams; that
 is what makes the zero-similarity override produce bit-identical results
 for the weighted and unweighted variants under a shared seed.
 
+The same fact lets the kernel learn several parameter points at once. Its
+value tables carry a leading axis of P points; each step's draws are made
+once, in the state mask's shape, and broadcast over that axis, and every
+point keeps its own stable-step counter. A point that meets the stop rule
+is frozen and reported as of its own stop step, so each point's result is
+bit-identical to a run of that point alone. ``run_sweep`` groups the
+dispersal tasks whose configs differ only in ``dilemma`` and share a seed,
+one group per (eta, reward mode, seed). A group samples its network and
+similarity once, and its points share them, the random stream and every
+step's draws; only the payoff matrix differs between them.
+Discrimination tasks run one point each.
+
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
 sampled-action frequencies would differ by the residual exploration level.
@@ -29,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -121,7 +133,7 @@ class RunResult:
 
 
 class _Learned(NamedTuple):
-    """What the learning kernel hands back; field names match ``RunResult``."""
+    """What the learning kernel hands back per point; field names match ``RunResult``."""
 
     coop_freq: np.ndarray
     greedy_final: np.ndarray
@@ -135,27 +147,39 @@ def _learn(
     active: np.ndarray,
     reward_fn: Callable[[np.ndarray], np.ndarray],
     rng: np.random.Generator,
-) -> _Learned:
-    """Independent myopic epsilon-greedy Q-learners, one per cell of ``active``.
+    points: int = 1,
+) -> list[_Learned]:
+    """Independent myopic epsilon-greedy Q-learners, one per cell of ``active``,
+    for each of ``points`` parameter points that share ``rng``.
 
     Every step draws three blocks of ``active.shape`` (explore flags, random
-    actions, tie coins), picks greedy actions with coin tie-breaks, asks
-    ``reward_fn`` for the reward of each cell's action (it may draw more
-    numbers from ``rng``), and moves the taken action's value toward it
-    wherever ``active``. The run stops early once the greedy policy has not
-    changed for a full window and epsilon is at its floor.
+    actions, tie coins) and uses them for every point: greedy actions with
+    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) actions to
+    the reward of each cell's action (it may draw more numbers from
+    ``rng``), and the taken action's value moves toward it wherever
+    ``active``. A point stops once its greedy policy has not changed for a
+    full window and epsilon is at its floor; from then on it is frozen and
+    its result is the one at its stop step. The loop ends when every point
+    has stopped.
     """
     learner = resolve_decay(config.learner, config.steps_max)
     shape = active.shape
-    q = np.full(shape + (2,), learner.q_init, dtype=float)
-    cells = np.ix_(*(np.arange(size) for size in shape))  # q[(*cells, acts)]: taken values
+    q_c = np.full((points,) + shape, learner.q_init, dtype=float)  # value of cooperating
+    q_d = q_c.copy()  # value of defecting
+    gap = q_c - q_d
     inactive = ~active
+    running = np.ones(points, dtype=bool)
+    update = np.broadcast_to(active, q_c.shape)
 
     coop_window: deque[np.ndarray] = deque(maxlen=config.window)
     prev_greedy: Optional[np.ndarray] = None
-    stable_steps = 0
-    converged_at: Optional[int] = None
-    steps_run = 0
+    stable_steps = np.zeros(points, dtype=np.int64)
+    learned: list[Optional[_Learned]] = [None] * points
+
+    def finish(p: int, steps_run: int, converged_at: Optional[int]) -> _Learned:
+        coop_freq = np.mean(np.stack([window[p] for window in coop_window]), axis=0)
+        q = np.stack([q_c[p], q_d[p]], axis=-1)
+        return _Learned(coop_freq, prev_greedy[p], converged_at, steps_run, q)
 
     for t in range(config.steps_max):
         eps = epsilon_at(learner, t)
@@ -163,31 +187,40 @@ def _learn(
         random_acts = rng.integers(0, 2, size=shape)
         tie_coins = rng.integers(0, 2, size=shape)
 
-        gap = q[..., 0] - q[..., 1]
         greedy = np.where(gap > 0, 0, np.where(gap < 0, 1, tie_coins))
         acts = np.where(explore, random_acts, greedy)
         reward = reward_fn(acts)
 
-        q_taken = q[(*cells, acts)]
-        q[(*cells, acts)] = np.where(
-            active, q_taken + learner.alpha * (reward - q_taken), q_taken
-        )
+        defect = acts == 1
+        q_taken = np.where(defect, q_d, q_c)
+        q_new = q_taken + learner.alpha * (reward - q_taken)
+        update_d = update & defect
+        np.copyto(q_d, q_new, where=update_d)
+        np.copyto(q_c, q_new, where=update ^ update_d)
 
-        snapshot = np.sign(q[..., 0] - q[..., 1]).astype(np.int8)
-        snapshot[inactive] = 0
+        gap = q_c - q_d
+        snapshot = np.sign(gap).astype(np.int8)
+        snapshot[:, inactive] = 0
         coop_window.append((snapshot.astype(float) + 1.0) / 2.0)
-        if prev_greedy is not None and np.array_equal(snapshot, prev_greedy):
-            stable_steps += 1
+        if prev_greedy is None:
+            stable_steps[:] = 1
         else:
-            stable_steps = 1
+            same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
+            stable_steps = np.where(same, stable_steps + 1, 1)
         prev_greedy = snapshot
-        steps_run = t + 1
-        if stable_steps >= config.window and eps <= learner.epsilon_min:
-            converged_at = steps_run
-            break
+        if eps <= learner.epsilon_min:
+            stopped = running & (stable_steps >= config.window)
+            if stopped.any():
+                for p in np.flatnonzero(stopped):
+                    learned[p] = finish(p, t + 1, t + 1)
+                running &= ~stopped
+                if not running.any():
+                    break
+                update = active & running.reshape((points,) + (1,) * len(shape))
 
-    coop_freq = np.mean(np.stack(coop_window), axis=0)
-    return _Learned(coop_freq, prev_greedy, converged_at, steps_run, q)
+    for p in np.flatnonzero(running):
+        learned[p] = finish(p, config.steps_max, None)
+    return learned
 
 
 def _similarity(
@@ -260,10 +293,11 @@ def run_discrimination(
     pm = payoff_matrix(config.dilemma)
 
     def reward_fn(acts: np.ndarray) -> np.ndarray:
-        payoff = pm[acts, acts.T]  # payoff[i, j]: i's individual payoff vs j
-        return payoff + weights * payoff.T if config.inclusive else payoff
+        # payoff[0, i, j]: i's individual payoff vs j
+        payoff = pm[acts, acts.swapaxes(-1, -2)]
+        return payoff + weights * payoff.swapaxes(-1, -2) if config.inclusive else payoff
 
-    learned = _learn(config, state_mask, reward_fn, np.random.default_rng(seed))
+    (learned,) = _learn(config, state_mask, reward_fn, np.random.default_rng(seed))
     return _run_result(config, seed, net, sim, state_mask, learned)
 
 
@@ -285,8 +319,32 @@ def run_dispersal(
     ``network_override`` bypasses sampling for fixed topologies (e.g. the
     explicit-probability clique construction used in tests).
     """
+    (result,) = _run_dispersal_group(
+        (config,), seed, genotypes, similarity_override, network_override
+    )
+    return result
+
+
+def _without_dilemma(config: ExperimentConfig) -> ExperimentConfig:
+    """What the points of one dispersal group have in common."""
+    return replace(config, dilemma=None)
+
+
+def _run_dispersal_group(
+    configs: Sequence[ExperimentConfig],
+    seed: int,
+    genotypes: Optional[list[Genotype]] = None,
+    similarity_override: Optional[np.ndarray] = None,
+    network_override: Optional[NetworkTopology] = None,
+) -> list[RunResult]:
+    """``run_dispersal`` for dispersal configs that differ only in ``dilemma``,
+    on one network and one random stream; result ``k`` is bit-identical to
+    ``run_dispersal(configs[k], seed, ...)``."""
+    config = configs[0]
     if config.kind != "dispersal":
         raise ValueError("config.kind must be 'dispersal'")
+    if any(_without_dilemma(other) != _without_dilemma(config) for other in configs[1:]):
+        raise ValueError("grouped dispersal configs may differ only in dilemma")
     rng = np.random.default_rng(seed)
     if network_override is not None:
         net = network_override
@@ -300,7 +358,9 @@ def run_dispersal(
 
     adjacency = net.adjacency()
     has_neighbors = adjacency.any(axis=1)
-    pm = payoff_matrix(config.dilemma)
+    n_points = len(configs)
+    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
+    point = np.arange(n_points)[:, None]
 
     if config.edge_sampling:
         # Neighbor lists in CSR form. The trailing pad keeps an isolated
@@ -316,37 +376,86 @@ def run_dispersal(
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
             partner = nbr_index[nbr_start + (picks * nbr_count).astype(np.intp)]
-            payoff = pm[acts, acts[partner]]
+            partner_acts = acts[:, partner]
+            payoff = pms[point, acts, partner_acts]
             if config.inclusive:
-                return payoff + sim[agents, partner] * pm[acts[partner], acts]
+                return payoff + sim[agents, partner] * pms[point, partner_acts, acts]
             return payoff
 
     else:
         adj_f = adjacency.astype(float)
         degree_safe = np.maximum(adj_f.sum(axis=1), 1.0)
-        # Reused across steps: on large networks, N x N temporaries freed at
-        # every return are handed back to the OS and page-fault when
-        # reallocated.
-        pair_reward = np.empty((n_agents, n_agents))
+        pms_t = pms.transpose(0, 2, 1).copy()  # [point, other, own]
+        # Buffers reused across steps: on large networks, N x N temporaries
+        # freed at every return are handed back to the OS and page-fault
+        # when reallocated.
+        payoff = np.empty((n_points, n_agents, n_agents))
+        payoff_t = np.empty_like(payoff) if config.inclusive else None
 
+        def gather_pairs(table_t: np.ndarray, acts: np.ndarray, out: np.ndarray) -> None:
+            """out[p, i, j] = table_t[p, a_j, a_i], copied by rows: row k of
+            point p's block holds table_t[p, a_j, k] for every j."""
+            blocks = table_t[point, acts].transpose(0, 2, 1).reshape(2 * n_points, n_agents)
+            # mode="clip" (the rows are always in range) writes to out unbuffered
+            np.take(blocks, 2 * point + acts, axis=0, out=out, mode="clip")
+
+        # payoff[p, i, j] = pm_p[a_i, a_j] and payoff_t[p, i, j] = pm_p[a_j, a_i].
+        # Every pair reward is the float expression of a single-point run, and
+        # each agent's mean sums its own contiguous row of N of them, so the
+        # order of additions, and every bit of the mean, are unchanged.
         def reward_fn(acts: np.ndarray) -> np.ndarray:
-            payoff = pm[acts[:, None], acts[None, :]]
+            gather_pairs(pms_t, acts, payoff)
             if config.inclusive:
-                np.multiply(sim, payoff.T, out=pair_reward)
-                np.add(pair_reward, payoff, out=pair_reward)
-                np.multiply(pair_reward, adj_f, out=pair_reward)
+                gather_pairs(pms, acts, payoff_t)
+                np.multiply(sim, payoff_t, out=payoff_t)
+                np.add(payoff_t, payoff, out=payoff_t)
+                pair_reward = np.multiply(payoff_t, adj_f, out=payoff_t)
             else:
-                np.multiply(payoff, adj_f, out=pair_reward)
-            return pair_reward.sum(axis=1) / degree_safe
+                pair_reward = np.multiply(payoff, adj_f, out=payoff)
+            return pair_reward.sum(axis=-1) / degree_safe
 
-    learned = _learn(config, has_neighbors, reward_fn, rng)
-    return _run_result(config, seed, net, sim, None, learned)
+    learned = _learn(config, has_neighbors, reward_fn, rng, n_points)
+    return [
+        _run_result(point_config, seed, net, sim, None, point_learned)
+        for point_config, point_learned in zip(configs, learned)
+    ]
 
 
-def run_experiment(config: ExperimentConfig, seed: int) -> RunResult:
-    if config.kind == "discrimination":
-        return run_discrimination(config, seed)
-    return run_dispersal(config, seed)
+# One-slot hand-off between the run_experiment calls of one dispersal group:
+# the first call learns every point, later calls take their result from here.
+_handoff: Optional[tuple[tuple, list[ExperimentConfig], list[RunResult]]] = None
+
+
+def run_experiment(
+    config: ExperimentConfig, seed: int, group: Sequence[ExperimentConfig] = ()
+) -> RunResult:
+    """One parameter point at one seed.
+
+    ``group``, if given, lists dispersal configs that differ only in
+    ``dilemma``, ``config`` among them. The first call for a (group, seed)
+    learns every point of the group at once; the calls for the other
+    points return their results from a hand-off that empties once each
+    point has been handed out. The result equals a run of ``config`` alone.
+    """
+    global _handoff
+    if len(group) < 2:
+        if group and group[0] != config:
+            raise ValueError("config is not a member of its group")
+        if config.kind == "discrimination":
+            return run_discrimination(config, seed)
+        return run_dispersal(config, seed)
+    key = (tuple(group), seed)
+    if _handoff is None or _handoff[0] != key or config not in _handoff[1]:
+        if config not in group:
+            raise ValueError("config is not a member of its group")
+        _handoff = (key, list(group), _run_dispersal_group(group, seed))
+    configs, results = _handoff[1], _handoff[2]
+    index = configs.index(config)
+    del configs[index]
+    result = results.pop(index)
+    if not configs:
+        _handoff = None
+    return result
 
 
 def bin_by_similarity(result: RunResult, loci: int) -> dict[float, float]:
@@ -405,8 +514,7 @@ class SweepTask(NamedTuple):
     seed: int
 
 
-def _run_task(task: SweepTask) -> tuple[tuple, int, dict]:
-    result = run_experiment(task.config, task.seed)
+def _payload(task: SweepTask, result: RunResult) -> tuple[tuple, int, dict]:
     payload: dict = {
         "meta": {
             "seed": task.seed,
@@ -424,17 +532,34 @@ def _run_task(task: SweepTask) -> tuple[tuple, int, dict]:
     return task.key, task.seed, payload
 
 
+def _run_group(tasks: Sequence[SweepTask]) -> list[tuple[tuple, int, dict]]:
+    group = tuple(task.config for task in tasks)
+    return [_payload(task, run_experiment(task.config, task.seed, group)) for task in tasks]
+
+
+def _group_tasks(tasks: Sequence[SweepTask]) -> list[list[SweepTask]]:
+    """Dispersal tasks whose configs differ only in ``dilemma`` and that share
+    a seed form one group, in first-seen order; every other task is alone."""
+    groups: dict[tuple, list[SweepTask]] = {}
+    for index, task in enumerate(tasks):
+        shared = _without_dilemma(task.config) if task.config.kind == "dispersal" else index
+        groups.setdefault((shared, task.seed), []).append(task)
+    return list(groups.values())
+
+
 def run_sweep(tasks: Sequence[SweepTask], jobs: int = 1) -> dict[tuple, dict[int, dict]]:
     """Execute (parameter point, seed) tasks, serially or across processes.
 
-    Output is keyed and ordered deterministically, so parallel and serial
-    execution produce identical downstream tables.
+    Each group of tasks (see ``_group_tasks``) is learned in one pass by one
+    worker. Output is keyed and ordered deterministically, so parallel and
+    serial execution produce identical downstream tables.
     """
-    if jobs > 1 and len(tasks) > 1:
+    groups = _group_tasks(tasks)
+    if jobs > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_run_task, tasks, chunksize=1))
+            raw = [row for rows in pool.map(_run_group, groups, chunksize=1) for row in rows]
     else:
-        raw = [_run_task(task) for task in tasks]
+        raw = [row for group in groups for row in _run_group(group)]
     out: dict[tuple, dict[int, dict]] = {}
     for key, seed, payload in sorted(raw, key=lambda item: (item[0], item[1])):
         out.setdefault(key, {})[seed] = payload

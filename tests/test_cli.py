@@ -6,6 +6,7 @@ import yaml
 from click.testing import CliRunner
 
 from kincoop.cli import main
+from kincoop.ioutil import write_atomic
 
 DISC_CFG = {
     "experiment": "discrimination",
@@ -377,6 +378,67 @@ class TestSandboxCommand:
             main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
         )
         assert result.exit_code == 0, result.output
+
+
+class TestAtomicWrites:
+    def test_exception_mid_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with write_atomic(tmp_path / "out.csv", newline="") as handle:
+                handle.write("a,b\r\n")
+                handle.flush()
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exception_mid_write_keeps_existing_file(self, tmp_path):
+        target = tmp_path / "out.svg"
+        target.write_bytes(b"<svg/>\n")
+        with pytest.raises(RuntimeError):
+            with write_atomic(target) as handle:
+                handle.write("<svg>")
+                handle.flush()
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"<svg/>\n"
+
+    @pytest.mark.parametrize("newline", [None, ""], ids=["text", "csv"])
+    def test_same_bytes_and_mode_as_open(self, tmp_path, newline):
+        text = "x\r\ny\nz"
+        with open(tmp_path / "plain", "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+        with write_atomic(tmp_path / "atomic", newline=newline) as handle:
+            handle.write(text)
+        plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+        assert atomic.read_bytes() == plain.read_bytes()
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
+    def test_failed_csv_write_keeps_earlier_outputs(self, runner, tmp_path, monkeypatch):
+        write_cfg(tmp_path / "c.yaml", SAND_CFG)
+        out = tmp_path / "o"
+        args = ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def write_then_fail(trace, handle):
+            handle.write("t,partial\r\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("kincoop.cli.write_rewards_csv", write_then_fail)
+        assert runner.invoke(main, args).exit_code != 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_chart_leaves_no_svg(self, runner, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("chart failed")
+
+        monkeypatch.setattr("kincoop.cli.line_chart", fail)
+        write_cfg(tmp_path / "c.yaml", {**DISP_CFG, "plot": True})
+        result = runner.invoke(
+            main, ["dispersal", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code != 0
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+            "dispersal.csv", "dispersal_runs.json"
+        ]
 
 
 class TestOverrides:

@@ -37,6 +37,9 @@ DISPERSAL_SMALL = [
 # their greedy policy last changed; the floor is written as a decimal because
 # YAML reads "1e-6" as a string
 EARLY_STOP = ["-s", "learner.decay=0.9", "-s", "learner.epsilon_min=0.000001"]
+# two seeds over two workers: the points of one (eta, mode, seed) share a
+# network and a random stream, and with EARLY_STOP they stop at different steps
+TWO_SEEDS_JOBS2 = ["--seeds", "1,2", "--jobs", "2"]
 
 CASES = {
     "sandbox-shipped": (["sandbox", str(CONFIGS / "sandbox.yaml")], {
@@ -74,6 +77,12 @@ CASES = {
     "dispersal-early-stop": ([*DISPERSAL_SMALL, *EARLY_STOP], {
         "dispersal.csv": "4c9f757b924a930f786a494857c6066634d0de2319db6572476978d86810e91e",
     }),
+    "dispersal-two-seeds-jobs2": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2], {
+        "dispersal.csv": "c998b912bf825548e4b9e9a7f4809db55724335baaacf6c5c05643e400eace7c",
+    }),
+    "dispersal-two-seeds-jobs2-early-stop": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2, *EARLY_STOP], {
+        "dispersal.csv": "72bba58e07f57f6328454cac93498f3911cd169447992131f88b7eaf96251b7a",
+    }),
 }
 
 # (steps_run, converged_at) of every run, in *_runs.json order
@@ -88,6 +97,20 @@ STOPS = {
         (133, 133), (147, 147), (133, 133), (161, 161), (133, 133), (164, 164),
         (167, 167), (133, 133), (134, 134), (133, 133), (133, 133), (136, 136),
         (133, 133), (155, 155), (133, 133), (144, 144), (133, 133), (144, 144),
+    ]),
+    "dispersal-two-seeds-jobs2-early-stop": ("dispersal_runs.json", [
+        (133, 133), (133, 133), (133, 133), (133, 133), (133, 133), (133, 133),
+        (133, 133), (133, 133), (133, 133), (133, 133), (153, 153), (152, 152),
+        (133, 133), (133, 133), (154, 154), (155, 155), (133, 133), (133, 133),
+        (169, 169), (160, 160), (133, 133), (133, 133), (164, 164), (161, 161),
+        (133, 133), (143, 143), (133, 133), (133, 133), (133, 133), (133, 133),
+        (133, 133), (133, 133), (133, 133), (133, 133), (136, 136), (136, 136),
+        (133, 133), (133, 133), (147, 147), (155, 155), (133, 133), (133, 133),
+        (161, 161), (149, 149), (133, 133), (133, 133), (164, 164), (151, 151),
+        (167, 167), (152, 152), (133, 133), (133, 133), (134, 134), (143, 143),
+        (133, 133), (133, 133), (133, 133), (133, 133), (136, 136), (134, 134),
+        (133, 133), (143, 143), (155, 155), (144, 144), (133, 133), (143, 143),
+        (144, 144), (147, 147), (133, 133), (143, 143), (144, 144), (158, 158),
     ]),
 }
 

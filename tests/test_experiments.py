@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kincoop.experiments import (
     ExperimentConfig,
+    RunResult,
     SweepTask,
     aggregate,
     bin_by_similarity,
@@ -226,6 +229,62 @@ class TestDispersalRunner:
         assert cooperator_proportion(np.array([1, -1, 0, 0], dtype=np.int8)) == 0.5
 
 
+class TestDispersalGroups:
+    """Dispersal points that differ only in the dilemma share a network and a
+    random stream, so one pass learns them all; each point's result must be
+    bit-identical to a run of that point alone."""
+
+    GROUPS = {
+        "dense-inclusive": dict(),
+        "dense-baseline": dict(inclusive=False),
+        "edge-sampling": dict(edge_sampling=True),
+        # baseline points at eta 0.05 stop at steps 133 to 164
+        "early-stop": dict(
+            inclusive=False,
+            partition=PartitionSpec(8, 8, 9.0, 0.05),
+            learner=LearnerConfig(epsilon0=1.0, decay=0.9, epsilon_min=1e-6),
+            window=100,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GROUPS))
+    def test_group_equals_single(self, case):
+        group = tuple(
+            small_dispersal(steps_max=300, dilemma=DilemmaParams(benefit=b, cost=1.0), **self.GROUPS[case])
+            for b in (2.0, 6.0, 8.0, 12.0)
+        )
+        grouped = [run_experiment(cfg, 1, group) for cfg in group]
+        for cfg, res in zip(group, grouped):
+            alone = run_dispersal(cfg, 1)
+            for field in dataclasses.fields(RunResult):
+                got, want = getattr(res, field.name), getattr(alone, field.name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+                else:
+                    assert got == want and type(got) is type(want), field.name
+        stops = {res.converged_at for res in grouped}
+        if case == "early-stop":
+            # the freeze path: points of one group stop at different steps
+            assert None not in stops and len(stops) >= 2
+        else:
+            assert stops == {None}
+
+    def test_members_must_differ_only_in_dilemma(self):
+        cfg = small_dispersal(steps_max=300)
+        other = small_dispersal(steps_max=300, partition=PartitionSpec(8, 8, 9.0, 0.5))
+        with pytest.raises(ValueError):
+            run_experiment(cfg, 1, (cfg, other))
+        with pytest.raises(ValueError):
+            run_experiment(cfg, 1, (other, small_dispersal(steps_max=300, dilemma=DilemmaParams(4.0, 1.0))))
+
+    def test_repeated_call_relearns(self):
+        group = tuple(small_dispersal(steps_max=300, dilemma=DilemmaParams(b, 1.0)) for b in (4.0, 8.0))
+        first = run_experiment(group[0], 2, group)
+        again = run_experiment(group[0], 2, group)
+        assert np.array_equal(first.q_values, again.q_values)
+        assert np.array_equal(run_experiment(group[1], 2, group).q_values, run_dispersal(group[1], 2).q_values)
+
+
 class TestAggregate:
     def test_single_result(self):
         rows = aggregate([{0.5: 0.8}])
@@ -257,9 +316,28 @@ class TestSweep:
     def test_serial_parallel_identical(self):
         cfg = small_discrimination(steps_max=400, window=50)
         tasks = [SweepTask((4.0,), cfg, seed) for seed in (1, 2, 3)]
+        # dispersal points that share (eta, mode, seed) are learned together
+        tasks += [
+            SweepTask(
+                (eta, boc, inclusive),
+                small_dispersal(
+                    steps_max=300,
+                    window=50,
+                    partition=PartitionSpec(8, 8, 9.0, eta),
+                    dilemma=DilemmaParams(benefit=boc, cost=1.0),
+                    inclusive=inclusive,
+                ),
+                seed,
+            )
+            for eta in (0.1, 0.5)
+            for boc in (4.0, 8.0)
+            for inclusive in (True, False)
+            for seed in (1, 2)
+        ]
         serial = run_sweep(tasks, jobs=1)
         parallel = run_sweep(tasks, jobs=2)
         assert serial == parallel
+        assert len(serial) == 9 and sum(len(per_seed) for per_seed in serial.values()) == 19
 
     def test_dispatch_by_kind(self):
         res = run_experiment(small_dispersal(steps_max=300, window=50), 1)
