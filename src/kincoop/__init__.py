@@ -1,13 +1,8 @@
 """kincoop: cooperation among independent learners with kin-weighted rewards."""
 
 from .games import (
-    Action,
     DilemmaParams,
-    PayoffPair,
     cooperation_favored,
-    inclusive_pairwise_reward,
-    inclusive_reward_vector,
-    pd_payoffs,
     payoff_matrix,
     transformed_matrix,
 )
@@ -22,12 +17,9 @@ from .genotype import (
 )
 from .learning import (
     LearnerConfig,
-    QTable,
     epsilon_at,
-    greedy_action,
     q_update,
     resolve_decay,
-    select_action,
 )
 from .networks import (
     InfeasiblePartitionError,
@@ -54,7 +46,6 @@ from .popreward import (
     PopulationTrace,
     SandboxConfig,
     combined_reward,
-    evaluate_rewards,
     longevity_reward,
     replication_identity_error,
     replication_reward,

@@ -213,16 +213,30 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_jobs(value) -> int:
+    jobs = _as_int(value, "jobs")
+    if jobs < 0:
+        raise ConfigError(f"jobs: expected 0 (all cores) or a positive count, got {jobs}")
+    return jobs
+
+
+def _distinct(values: tuple, path: str) -> tuple:
+    """Sweep values, each at most once: a repeat would run or report a point twice."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{path}: values must be distinct, got {list(values)}")
+    return values
+
+
 def _as_number_list(value, path: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _distinct(tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
 
 
 def _as_int_list(value, path: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _distinct(tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
 
 
 def _build_space(data: dict) -> GenotypeSpace:
@@ -353,7 +367,7 @@ def build_discrimination_plan(resolved: dict) -> DiscriminationPlan:
         inclusive=_as_bool(resolved["inclusive"], "inclusive"),
         self_play=_as_bool(resolved["self_play"], "self_play"),
         seeds=_as_int_list(resolved["seeds"], "seeds"),
-        jobs=_as_int(resolved["jobs"], "jobs"),
+        jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
         out_dir=resolved["out_dir"],
         resolved=resolved,
@@ -376,6 +390,7 @@ def build_dispersal_plan(resolved: dict) -> DispersalPlan:
     for mode in modes:
         if mode not in ("inclusive", "baseline"):
             raise ConfigError(f"modes: entries must be 'inclusive' or 'baseline', got {mode!r}")
+    _distinct(modes, "modes")
     plan = DispersalPlan(
         space=space,
         cost=_as_float(resolved["dilemma"]["cost"], "dilemma.cost"),
@@ -389,7 +404,7 @@ def build_dispersal_plan(resolved: dict) -> DispersalPlan:
         steps_max=_as_int(resolved["steps_max"], "steps_max"),
         window=_as_int(resolved["window"], "window"),
         seeds=_as_int_list(resolved["seeds"], "seeds"),
-        jobs=_as_int(resolved["jobs"], "jobs"),
+        jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
         out_dir=resolved["out_dir"],
         resolved=resolved,

@@ -48,7 +48,7 @@ import numpy as np
 
 from .games import DilemmaParams, payoff_matrix
 from .genotype import Genotype, GenotypeSpace, enumerate_genotypes, similarity_matrix
-from .learning import LearnerConfig, epsilon_at, resolve_decay
+from .learning import LearnerConfig, epsilon_at, q_update, resolve_decay
 from .networks import (
     NetworkTopology,
     PartitionSpec,
@@ -193,7 +193,7 @@ def _learn(
 
         defect = acts == 1
         q_taken = np.where(defect, q_d, q_c)
-        q_new = q_taken + learner.alpha * (reward - q_taken)
+        q_new = q_update(q_taken, reward, learner.alpha)
         update_d = update & defect
         np.copyto(q_d, q_new, where=update_d)
         np.copyto(q_c, q_new, where=update ^ update_d)

@@ -1,15 +1,8 @@
-"""Independent tabular Q-learners: myopic updates, decaying epsilon-greedy."""
+"""Myopic Q-learning: learner settings, the value update, decaying epsilon."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Hashable, Optional
-
-import numpy as np
-
-from .games import Action
-
-StateId = Hashable
 
 # Epsilon level the default decay schedule is calibrated to hit at 80% of
 # the step budget; exploration beyond that point is residual.
@@ -55,8 +48,12 @@ def resolve_decay(config: LearnerConfig, steps_max: int) -> LearnerConfig:
     return replace(config, decay=(DECAY_TARGET_EPSILON / config.epsilon0) ** (1.0 / horizon))
 
 
-def q_update(q: float, reward: float, alpha: float) -> float:
-    """One myopic value update; no bootstrap term since the discount is 0."""
+def q_update(q, reward, alpha: float):
+    """One myopic value update; no bootstrap term since the discount is 0.
+
+    The one written form of the update rule: the network kernel applies it
+    elementwise to arrays of values, the sandbox policy to single floats.
+    """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     return q + alpha * (reward - q)
@@ -69,52 +66,3 @@ def epsilon_at(config: LearnerConfig, t: int) -> float:
     if config.decay is None:
         raise ValueError("decay is unresolved; call resolve_decay first")
     return max(config.epsilon_min, config.epsilon0 * config.decay**t)
-
-
-class QTable:
-    """Per-agent action-value store over opaque state ids.
-
-    Missing entries read as ``q_init``; states are created lazily on update.
-    """
-
-    def __init__(self, q_init: float = 0.0):
-        self.q_init = q_init
-        self.values: dict[tuple[StateId, Action], float] = {}
-
-    def get(self, state: StateId, action: Action) -> float:
-        return self.values.get((state, action), self.q_init)
-
-    def update(self, state: StateId, action: Action, reward: float, alpha: float) -> None:
-        self.values[(state, action)] = q_update(self.get(state, action), reward, alpha)
-
-    def states(self) -> list[StateId]:
-        return sorted({s for s, _ in self.values}, key=repr)
-
-
-def greedy_action(table: QTable, state: StateId) -> Optional[Action]:
-    """Deterministic argmax; None signals an exact tie."""
-    q_c = table.get(state, Action.COOPERATE)
-    q_d = table.get(state, Action.DEFECT)
-    if q_c > q_d:
-        return Action.COOPERATE
-    if q_d > q_c:
-        return Action.DEFECT
-    return None
-
-
-def select_action(
-    table: QTable, state: StateId, epsilon: float, rng: np.random.Generator
-) -> Action:
-    """Epsilon-greedy draw; exact ties are broken by a fair coin.
-
-    Randomized tie-breaking avoids a systematic first-action bias at the
-    all-equal initialization.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    if rng.random() < epsilon:
-        return Action(int(rng.integers(2)))
-    best = greedy_action(table, state)
-    if best is None:
-        return Action(int(rng.integers(2)))
-    return best

@@ -66,12 +66,16 @@ def derive_partition_probs(spec: PartitionSpec) -> tuple[float, float]:
     return p_in, p_out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
-    """Static undirected interaction graph with genotype-labelled communities."""
+    """Static undirected interaction graph with genotype-labelled communities.
+
+    ``edges`` is a read-only ``(E, 2)`` int array of ``(u, v)`` rows with
+    ``u < v``; any sequence of pairs is accepted and converted.
+    """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     genotypes: tuple[Genotype, ...]
     communities: tuple[int, ...]
 
@@ -79,15 +83,20 @@ class NetworkTopology:
         n = self.node_count
         if len(self.genotypes) != n or len(self.communities) != n:
             raise ValueError("genotype and community labels must cover every node")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-edge at node {u}")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u}, {v}) must satisfy 0 <= u < v < node_count")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        edges = np.array(self.edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {edges.shape}")
+        u, v = edges.T
+        bad = (u < 0) | (u >= v) | (v >= n)
+        if bad.any():
+            raise ValueError(f"edge {edges[bad][0].tolist()} must satisfy 0 <= u < v < node_count")
+        keys, counts = np.unique(u * n + v, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate edge {divmod(int(keys[counts > 1][0]), n)}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
         by_community: dict[int, Genotype] = {}
         for node in range(n):
             c = self.communities[node]
@@ -97,22 +106,15 @@ class NetworkTopology:
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.node_count, self.node_count), dtype=bool)
-        for u, v in self.edges:
-            adj[u, v] = True
-            adj[v, u] = True
+        u, v = self.edges.T
+        adj[u, v] = True
+        adj[v, u] = True
         return adj
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 def degree_stats(net: NetworkTopology) -> tuple[float, int, int]:
     """(mean degree, min degree, number of isolated nodes)."""
-    deg = net.degrees()
+    deg = np.bincount(net.edges.ravel(), minlength=net.node_count)
     return float(deg.mean()), int(deg.min()), int((deg == 0).sum())
 
 
@@ -121,10 +123,9 @@ def build_complete_network(genotypes: list[Genotype]) -> NetworkTopology:
     if not genotypes:
         raise ValueError("need at least one genotype")
     n = len(genotypes)
-    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n))
     return NetworkTopology(
         node_count=n,
-        edges=edges,
+        edges=np.stack(np.triu_indices(n, k=1), axis=1),
         genotypes=tuple(genotypes),
         communities=tuple(range(n)),
     )
@@ -132,14 +133,12 @@ def build_complete_network(genotypes: list[Genotype]) -> NetworkTopology:
 
 def _sample_partition_edges(
     communities: np.ndarray, p_in: float, p_out: float, rng: np.random.Generator
-) -> tuple[tuple[int, int], ...]:
+) -> np.ndarray:
     n = len(communities)
     same = communities[:, None] == communities[None, :]
     probs = np.where(same, p_in, p_out)
     draws = rng.random((n, n))
-    upper = np.triu(draws < probs, k=1)
-    us, vs = np.nonzero(upper)
-    return tuple((int(u), int(v)) for u, v in zip(us, vs))
+    return np.argwhere(np.triu(draws < probs, k=1))
 
 
 def build_partition_network_with_probs(

@@ -19,10 +19,9 @@ from typing import NamedTuple, Optional, Protocol, TextIO
 
 import numpy as np
 
-from .games import Action
 from .genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity, mutate
 from .ioutil import fmt
-from .learning import LearnerConfig, QTable, epsilon_at, select_action
+from .learning import LearnerConfig, epsilon_at, q_update
 
 
 @dataclass(frozen=True)
@@ -165,15 +164,6 @@ def _step_rewards(
     return {aid: by_genotype[g] for aid, g in curr.alive}
 
 
-def evaluate_rewards(trace: "PopulationTrace") -> list[dict[int, RewardTriple]]:
-    """All three rewards for every living agent at every step t >= 1."""
-    matches = _MatchCounts()
-    return [
-        _step_rewards(trace.states[t - 1], trace.states[t], matches)
-        for t in range(1, len(trace.states))
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Sandbox
 # ---------------------------------------------------------------------------
@@ -242,10 +232,11 @@ class ThresholdPolicy:
 
 
 class QReproductionPolicy:
-    """Single-state Q-learner over {reproduce, idle}, one table per agent.
+    """Single-state myopic Q-learner over {reproduce, idle}, one per agent.
 
     Optimizes one of the three population rewards, chosen by name. Each
-    agent explores on its own clock, starting at its birth.
+    agent explores on its own clock, starting at its birth. ``tables`` maps
+    an agent id to ``[value of reproducing, value of idling, steps taken]``.
     """
 
     REWARD_KINDS = ("longevity", "replication", "combined")
@@ -257,23 +248,29 @@ class QReproductionPolicy:
             raise ValueError(f"reward_kind must be one of {self.REWARD_KINDS}")
         self.learner = learner
         self.reward_kind = reward_kind
-        self.tables: dict[int, QTable] = {}
-        self.steps: dict[int, int] = {}
+        self.tables: dict[int, list] = {}
 
     def decide(self, agent, rng):
-        table = self.tables.setdefault(agent.agent_id, QTable(self.learner.q_init))
-        t = self.steps.get(agent.agent_id, 0)
-        self.steps[agent.agent_id] = t + 1
-        eps = epsilon_at(self.learner, t)
-        # the COOPERATE slot doubles as "reproduce", DEFECT as "idle"
-        return select_action(table, 0, eps, rng) is Action.COOPERATE
+        q0 = self.learner.q_init
+        entry = self.tables.setdefault(agent.agent_id, [q0, q0, 0])
+        q_reproduce, q_idle, t = entry
+        entry[2] = t + 1
+        # explore, else act greedily; a coin (0 = reproduce) breaks exact ties so
+        # the all-equal start carries no first-action bias
+        if rng.random() < epsilon_at(self.learner, t):
+            return int(rng.integers(2)) == 0
+        if q_reproduce > q_idle:
+            return True
+        if q_idle > q_reproduce:
+            return False
+        return int(rng.integers(2)) == 0
 
     def feedback(self, agent_id, reproduced, rewards):
-        table = self.tables.get(agent_id)
-        if table is None:
+        entry = self.tables.get(agent_id)
+        if entry is None:
             return
-        action = Action.COOPERATE if reproduced else Action.DEFECT
-        table.update(0, action, getattr(rewards, self.reward_kind), self.learner.alpha)
+        k = 0 if reproduced else 1
+        entry[k] = q_update(entry[k], getattr(rewards, self.reward_kind), self.learner.alpha)
 
 
 @dataclass(frozen=True)
@@ -304,6 +301,7 @@ class PopulationTrace:
     ``states[0]`` is the initial population; step t produced ``states[t]``.
     ``healths[t]`` aligns with ``states[t].alive``. Deaths record each
     agent's final (non-positive) health so energy bookkeeping stays exact.
+    ``rewards[t - 1]`` maps every agent alive in ``states[t]`` to its rewards.
     """
 
     states: list[PopulationState]
@@ -312,8 +310,8 @@ class PopulationTrace:
     deaths: list[tuple[tuple[int, Genotype, float], ...]]
     food_consumed: list[float]
     pop_before: list[int]
+    rewards: list[dict[int, RewardTriple]]
     extinct_at: Optional[int] = None
-    rewards: Optional[list[dict[int, RewardTriple]]] = None
 
     @property
     def steps(self) -> int:
@@ -432,7 +430,6 @@ def replication_identity_error(trace: PopulationTrace) -> float:
     change is divided by ``loci`` a single time. Cost is O(T·G²) match
     lookups for G distinct genotypes alive, not O(T·pop²).
     """
-    rewards = trace.rewards if trace.rewards is not None else evaluate_rewards(trace)
     matches = _MatchCounts()
 
     def genotype_counts(state: PopulationState):
@@ -456,7 +453,7 @@ def replication_identity_error(trace: PopulationTrace) -> float:
             if before is None:
                 before = combined_int(i, prev_ids, prev_copies)
             delta[g] = (combined[i] - before) / len(g)
-        step = rewards[t - 1]
+        step = trace.rewards[t - 1]
         for aid, g in curr.alive:
             worst = max(worst, abs(step[aid].replication - delta[g]))
         prev_ids, prev_copies, prev_combined = ids, copies, combined
@@ -479,10 +476,9 @@ def write_trace_csv(trace: PopulationTrace, stream: TextIO) -> None:
 
 def write_rewards_csv(trace: PopulationTrace, stream: TextIO) -> None:
     """Reward streams per step and living agent, all three signals."""
-    rewards = trace.rewards if trace.rewards is not None else evaluate_rewards(trace)
     writer = csv.writer(stream)
     writer.writerow(["t", "agent_id", "r_longevity", "r_replication", "r_combined"])
-    for t_idx, step_rewards in enumerate(rewards):
+    for t_idx, step_rewards in enumerate(trace.rewards):
         state = trace.states[t_idx + 1]
         for aid, _ in state.alive:
             triple = step_rewards[aid]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ioutil import fmt
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#7f7f7f",
@@ -109,7 +108,3 @@ def line_chart(series: list[Series], title: str, xlabel: str, ylabel: str) -> st
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def series_label(prefix: str, value: float) -> str:
-    return f"{prefix}={fmt(value)}"

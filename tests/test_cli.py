@@ -466,3 +466,32 @@ class TestOverrides:
             ["discrimination", str(tmp_path / "c.yaml"), "-s", "justakey"],
         )
         assert result.exit_code == 2
+
+
+class TestRejectedSweeps:
+    """Repeated sweep values and a negative worker count stop at exit 2."""
+
+    @pytest.mark.parametrize(
+        "cfg,args,key",
+        [
+            # ran seed 1 once but reported n_seeds = 2 with a zero standard error
+            (DISC_CFG, ["--seeds", "1,1"], "seeds"),
+            # wrote every (c_over_b, h) row twice
+            (DISC_CFG, ["-s", "dilemma.benefits=[4,4.0]"], "dilemma.benefits"),
+            (DISP_CFG, ["-s", "partition.etas=[0.1,0.1]"], "partition.etas"),
+            (DISP_CFG, ["-s", "dilemma.b_over_c=[8,8]"], "dilemma.b_over_c"),
+            (DISP_CFG, ["-s", "modes=[baseline,baseline]"], "modes"),
+            # was read as "all cores"
+            (DISC_CFG, ["--jobs", "-3"], "jobs"),
+        ],
+        ids=["seeds", "benefits", "etas", "b-over-c", "modes", "negative-jobs"],
+    )
+    def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, key):
+        write_cfg(tmp_path / "c.yaml", cfg)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(out), *args]
+        )
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert not out.exists() or not any(out.iterdir())

@@ -3,7 +3,8 @@
 Each case runs one command on a shipped config, shrunk through overrides
 where the full run would be slow, and compares every CSV it writes with a
 digest recorded before the code it covers was reworked: the sandbox reward
-path, and the merge of the two network runners into one learning kernel.
+path, the merge of the two network runners into one learning kernel, and
+the sandbox Q policy's move from a dict table to two floats per agent.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -40,6 +41,10 @@ EARLY_STOP = ["-s", "learner.decay=0.9", "-s", "learner.epsilon_min=0.000001"]
 # two seeds over two workers: the points of one (eta, mode, seed) share a
 # network and a random stream, and with EARLY_STOP they stop at different steps
 TWO_SEEDS_JOBS2 = ["--seeds", "1,2", "--jobs", "2"]
+SANDBOX_Q = [
+    "sandbox", str(CONFIGS / "sandbox.yaml"),
+    "-s", "policy.kind=q", "-s", "policy.alpha=0.5", "-s", "policy.q_init=0.3",
+]
 
 CASES = {
     "sandbox-shipped": (["sandbox", str(CONFIGS / "sandbox.yaml")], {
@@ -56,6 +61,16 @@ CASES = {
     ], {
         "sandbox_rewards.csv": "30ac4b3ea5952297924825060a587c1e63b57ba20badfdeb13f8e7b1ff191753",
         "sandbox_trace.csv": "af496d2a7d087524a4349f25f12d2ab0727de875467a4937c7406f9eac17615b",
+    }),
+    # Q policy with a partial step size and a nonzero initial value, on the
+    # two other rewards: pins its draw order and its update on the shipped config
+    "sandbox-q-replication": ([*SANDBOX_Q, "-s", "policy.reward=replication"], {
+        "sandbox_rewards.csv": "b575ae9a125f7043a331ff45a61eaa0b18c771e14ef2f590d46627fba4d22219",
+        "sandbox_trace.csv": "51129c65b9817b9e7e739d553730785e9992e51eab47f6cc7dbe61d7c29eb767",
+    }),
+    "sandbox-q-longevity": ([*SANDBOX_Q, "-s", "policy.reward=longevity"], {
+        "sandbox_rewards.csv": "742517052d8b71bf8cc05d64956eb33f6301036a6aadaa8b14e8876282b3b476",
+        "sandbox_trace.csv": "40a888fb4822e3ab36f55adb73bcd95a3cd0fb126fca7cc61794ee0dba4a7d06",
     }),
     "discrimination-small": (DISCRIMINATION_SMALL, {
         "discrimination.csv": "83b49a009d1f0f5d8ff74c5b07ecd85517183e92cc5989d1518f57b3b5cdb4a2",

@@ -209,8 +209,8 @@ class TestDispersalRunner:
         net = build_partition_network_with_probs(
             8, genotypes, 1.0, 0.0, np.random.default_rng(0)
         )
-        assert net.edges == tuple(
-            (u, v) for u in range(64) for v in range(u + 1, 64) if u // 8 == v // 8
+        assert np.array_equal(
+            net.edges, [(u, v) for u in range(64) for v in range(u + 1, 64) if u // 8 == v // 8]
         )
         res = run_dispersal(small_dispersal(), 0, network_override=net)
         assert cooperator_proportion(res.greedy_final) > 0.9

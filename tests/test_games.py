@@ -3,19 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kincoop.games import (
-    Action,
-    DilemmaParams,
-    PayoffPair,
-    cooperation_favored,
-    inclusive_pairwise_reward,
-    inclusive_reward_vector,
-    payoff_matrix,
-    pd_payoffs,
-    transformed_matrix,
-)
+from kincoop.games import DilemmaParams, cooperation_favored, payoff_matrix, transformed_matrix
 
-C, D = Action.COOPERATE, Action.DEFECT
+C, D = 0, 1
 
 
 def strict_c_dominance(matrix: np.ndarray) -> bool:
@@ -34,57 +24,22 @@ class TestDilemmaParams:
             DilemmaParams(benefit=b, cost=c)
 
 
-class TestPdPayoffs:
+class TestPayoffMatrix:
     def test_mutual_defection_is_zero(self):
-        assert pd_payoffs(D, D, DilemmaParams(5.0, 0.5)) == (0.0, 0.0)
+        assert payoff_matrix(DilemmaParams(5.0, 0.5))[D, D] == 0.0
 
     def test_mutual_cooperation(self):
-        assert pd_payoffs(C, C, DilemmaParams(3.0, 1.0)) == (2.0, 2.0)
+        assert payoff_matrix(DilemmaParams(3.0, 1.0))[C, C] == 2.0
 
     def test_sucker_and_temptation(self):
-        assert pd_payoffs(C, D, DilemmaParams(3.0, 1.0)) == (-1.0, 3.0)
-        assert pd_payoffs(D, C, DilemmaParams(3.0, 1.0)) == (3.0, -1.0)
+        m = payoff_matrix(DilemmaParams(3.0, 1.0))
+        assert (m[C, D], m[D, C]) == (-1.0, 3.0)
 
     @given(st.floats(0.01, 50.0), st.floats(1.01, 10.0))
     def test_pd_ordering(self, c, ratio):
         # temptation > reward > punishment > sucker for any valid params
-        p = DilemmaParams(benefit=c * ratio, cost=c)
-        assert p.benefit > p.benefit - p.cost > 0.0 > -p.cost
-
-
-class TestInclusivePairwiseReward:
-    def test_worked_example(self):
-        assert inclusive_pairwise_reward(PayoffPair(2.0, 2.0), 0.75) == pytest.approx(3.5)
-
-    def test_unrelated_gives_own_payoff(self):
-        assert inclusive_pairwise_reward(PayoffPair(4.0, -7.0), 0.0) == 4.0
-
-    def test_clone_gives_sum(self):
-        assert inclusive_pairwise_reward(PayoffPair(1.5, 2.5), 1.0) == 4.0
-
-    @pytest.mark.parametrize("h", [-0.01, 1.01, 2.0])
-    def test_out_of_range_relatedness(self, h):
-        with pytest.raises(ValueError):
-            inclusive_pairwise_reward(PayoffPair(1.0, 1.0), h)
-
-
-class TestInclusiveRewardVector:
-    def test_two_agents(self):
-        assert inclusive_reward_vector([2.0, 2.0], [1.0, 0.75], 0) == pytest.approx(3.5)
-
-    def test_lone_agent(self):
-        assert inclusive_reward_vector([5.0], [1.0], 0) == 5.0
-
-    def test_unrelated_others(self):
-        assert inclusive_reward_vector([1.0, 1.0, 1.0], [1.0, 0.0, 0.0], 0) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inclusive_reward_vector([1.0, 2.0], [1.0, 0.5, 0.5], 0)
-
-    def test_bad_self_similarity(self):
-        with pytest.raises(ValueError):
-            inclusive_reward_vector([1.0, 2.0], [0.5, 1.0], 0)
+        m = payoff_matrix(DilemmaParams(benefit=c * ratio, cost=c))
+        assert m[D, C] > m[C, C] > m[D, D] > m[C, D]
 
 
 class TestTransformedMatrix:

@@ -1,20 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kincoop.games import Action
-from kincoop.learning import (
-    LearnerConfig,
-    QTable,
-    epsilon_at,
-    greedy_action,
-    q_update,
-    resolve_decay,
-    select_action,
-)
-
-C, D = Action.COOPERATE, Action.DEFECT
+from kincoop.learning import LearnerConfig, epsilon_at, q_update, resolve_decay
 
 finite = st.floats(-100.0, 100.0)
 
@@ -95,61 +83,3 @@ class TestEpsilonSchedule:
             LearnerConfig(epsilon_min=0.5, epsilon0=0.3)
         with pytest.raises(ValueError):
             LearnerConfig(decay=0.0)
-
-
-class TestGreedyAction:
-    def test_cooperate_wins(self):
-        t = QTable()
-        t.update(0, C, 0.3, 1.0)
-        t.update(0, D, 0.1, 1.0)
-        assert greedy_action(t, 0) is C
-
-    def test_exact_tie_reported(self):
-        assert greedy_action(QTable(), "anything") is None
-
-    def test_defect_wins(self):
-        t = QTable()
-        t.update(0, C, -1.0, 1.0)
-        assert greedy_action(t, 0) is D
-
-
-class TestSelectAction:
-    def test_pure_greedy(self):
-        t = QTable()
-        t.update("s", C, 1.0, 1.0)
-        rng = np.random.default_rng(0)
-        assert all(select_action(t, "s", 0.0, rng) is C for _ in range(100))
-
-    def test_full_exploration_is_uniform(self):
-        t = QTable()
-        t.update("s", C, 100.0, 1.0)
-        rng = np.random.default_rng(42)
-        draws = [select_action(t, "s", 1.0, rng) for _ in range(10_000)]
-        freq = sum(1 for a in draws if a is C) / len(draws)
-        assert freq == pytest.approx(0.5, abs=0.02)
-
-    def test_tie_break_is_fair(self):
-        t = QTable()
-        rng = np.random.default_rng(7)
-        draws = [select_action(t, "s", 0.0, rng) for _ in range(10_000)]
-        freq = sum(1 for a in draws if a is C) / len(draws)
-        assert freq == pytest.approx(0.5, abs=0.02)
-
-    def test_bit_reproducible(self):
-        t = QTable()
-        t.update("s", C, 1.0, 0.5)
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(123)
-            runs.append([select_action(t, "s", 0.3, rng) for _ in range(500)])
-        assert runs[0] == runs[1]
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            select_action(QTable(), 0, 1.5, np.random.default_rng(0))
-
-
-class TestQTableDump:
-    def test_missing_entries_read_as_init(self):
-        t = QTable(q_init=0.25)
-        assert t.get("never-seen", C) == 0.25

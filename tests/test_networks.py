@@ -74,11 +74,11 @@ class TestCompleteNetwork:
 
     def test_single_node(self):
         net = build_complete_network(EIGHT_GENOTYPES[:1])
-        assert net.node_count == 1 and net.edges == ()
+        assert net.node_count == 1 and len(net.edges) == 0
 
     def test_two_nodes_one_edge(self):
         net = build_complete_network(EIGHT_GENOTYPES[:2])
-        assert net.edges == ((0, 1),)
+        assert np.array_equal(net.edges, [(0, 1)])
 
     def test_singleton_communities(self):
         net = build_complete_network(EIGHT_GENOTYPES)
@@ -109,6 +109,24 @@ class TestTopologyInvariants:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
             NetworkTopology(2, ((0, 2),), tuple(EIGHT_GENOTYPES[:2]), (0, 1))
+        with pytest.raises(ValueError):
+            NetworkTopology(2, ((1, 0),), tuple(EIGHT_GENOTYPES[:2]), (0, 1))
+
+    def test_edges_not_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            NetworkTopology(3, ((0, 1, 2),), tuple(EIGHT_GENOTYPES[:3]), (0, 1, 2))
+
+    def test_edges_are_read_only_int_pairs(self):
+        source = np.array([[0, 2], [1, 2]])
+        net = NetworkTopology(3, source, tuple(EIGHT_GENOTYPES[:3]), (0, 1, 2))
+        assert net.edges.shape == (2, 2) and net.edges.dtype == np.int64
+        with pytest.raises(ValueError):
+            net.edges[0, 0] = 1
+        source[0, 0] = 1  # the topology keeps its own copy
+        assert np.array_equal(net.edges, [(0, 2), (1, 2)])
+        assert np.array_equal(
+            net.adjacency(), [[False, False, True], [False, False, True], [True, True, False]]
+        )
 
 
 class TestPartitionNetwork:
@@ -149,7 +167,7 @@ class TestPartitionNetwork:
         spec = PartitionSpec(8, 8, 9.0, 0.1)
         a = build_partition_network(spec, EIGHT_GENOTYPES, np.random.default_rng(9))
         b = build_partition_network(spec, EIGHT_GENOTYPES, np.random.default_rng(9))
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
 
     def test_mean_degree_over_seeds(self):
         # grand mean over 200 seeds within the frozen band and 3 standard errors
@@ -187,4 +205,4 @@ class TestPartitionNetwork:
         spec = PartitionSpec(4, 8, 5.0, 0.3)
         net = build_partition_network(spec, EIGHT_GENOTYPES, np.random.default_rng(17))
         assert all(u < v for u, v in net.edges)
-        assert len(set(net.edges)) == len(net.edges)
+        assert len(np.unique(net.edges, axis=0)) == len(net.edges)

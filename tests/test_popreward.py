@@ -14,10 +14,10 @@ from kincoop.popreward import (
     QReproductionPolicy,
     RandomPolicy,
     RewardTriple,
+    SandboxAgent,
     SandboxConfig,
     ThresholdPolicy,
     combined_reward,
-    evaluate_rewards,
     longevity_reward,
     replication_identity_error,
     replication_reward,
@@ -258,6 +258,83 @@ class TestSandbox:
         assert all(len(b) == 0 for b in trace.births)
 
 
+class TestQPolicyDecide:
+    """The epsilon-greedy choice over the two per-agent values."""
+
+    AGENT = SandboxAgent(0, ME, 10.0)
+
+    @classmethod
+    def policy(cls, epsilon, prefer=None, alpha=1.0):
+        """A policy whose agent 0 has acted once; ``prefer`` (True reproduce,
+        False idle) gets value 1 against 0, else both values stay 0."""
+        learner = LearnerConfig(alpha=alpha, epsilon0=epsilon, decay=1.0, epsilon_min=0.0)
+        policy = QReproductionPolicy(learner, "combined")
+        policy.decide(cls.AGENT, np.random.default_rng(0))
+        if prefer is not None:
+            policy.feedback(0, prefer, RewardTriple(1.0, 1.0, 1.0))
+        return policy
+
+    @pytest.mark.parametrize("prefer", [True, False])
+    def test_pure_greedy(self, prefer):
+        policy = self.policy(0.0, prefer)
+        rng = np.random.default_rng(0)
+        assert all(policy.decide(self.AGENT, rng) is prefer for _ in range(100))
+
+    def test_full_exploration_is_uniform(self):
+        policy = self.policy(1.0, prefer=True)
+        rng = np.random.default_rng(42)
+        draws = [policy.decide(self.AGENT, rng) for _ in range(10_000)]
+        assert sum(draws) / len(draws) == pytest.approx(0.5, abs=0.02)
+
+    def test_tie_break_is_fair(self):
+        policy = self.policy(0.0)
+        rng = np.random.default_rng(7)
+        draws = [policy.decide(self.AGENT, rng) for _ in range(10_000)]
+        assert sum(draws) / len(draws) == pytest.approx(0.5, abs=0.02)
+
+    def test_bit_reproducible(self):
+        runs = []
+        for _ in range(2):
+            policy = self.policy(0.3, prefer=True, alpha=0.5)
+            rng = np.random.default_rng(123)
+            runs.append([policy.decide(self.AGENT, rng) for _ in range(500)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "epsilon,prefer,calls",
+        [
+            (0.0, True, ["random"]),
+            (0.0, None, ["random", "integers"]),
+            (1.0, True, ["random", "integers"]),
+        ],
+        ids=["greedy", "tie", "explore"],
+    )
+    def test_draw_order(self, epsilon, prefer, calls):
+        # one uniform against epsilon, then one coin on exploring or on a tie
+        class Recorder:
+            def __init__(self):
+                self.calls = []
+                self.rng = np.random.default_rng(0)
+
+            def random(self):
+                self.calls.append("random")
+                return self.rng.random()
+
+            def integers(self, high):
+                self.calls.append("integers")
+                return self.rng.integers(high)
+
+        rng = Recorder()
+        self.policy(epsilon, prefer).decide(self.AGENT, rng)
+        assert rng.calls == calls
+
+    def test_values_follow_the_update_rule(self):
+        policy = self.policy(0.0, alpha=0.5)
+        policy.feedback(0, True, RewardTriple(0.0, 0.0, 3.0))
+        policy.feedback(0, False, RewardTriple(0.0, 0.0, -1.0))
+        assert policy.tables[0] == [1.5, -0.5, 1]
+
+
 class TestRewardIdentities:
     def make_trace(self, seed, mu, steps=400):
         cfg = SandboxConfig(
@@ -310,7 +387,7 @@ class TestRewardIdentities:
 
     def test_evaluate_rewards_matches_ops(self):
         trace = self.make_trace(8, 0.2, steps=60)
-        rewards = evaluate_rewards(trace)
+        rewards = trace.rewards
         for t in range(1, len(trace.states)):
             for aid, geno in trace.states[t].alive:
                 triple = rewards[t - 1][aid]
