@@ -3,8 +3,10 @@
 Each case runs one command on a shipped config, shrunk through overrides
 where the full run would be slow, and compares every CSV it writes with a
 digest recorded before the code it covers was reworked: the sandbox reward
-path, the merge of the two network runners into one learning kernel, and
-the sandbox Q policy's move from a dict table to two floats per agent.
+path, the merge of the two network runners into one learning kernel, the
+sandbox Q policy's move from a dict table to two floats per agent, and the
+dispersal reward's move from a dense row sum to an edge list summed in
+numpy's pairwise order.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -18,7 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 from kincoop.cli import main
-from kincoop.experiments import ExperimentConfig, run_dispersal
+from kincoop.experiments import ExperimentConfig, run_dispersal, run_experiment
 from kincoop.games import DilemmaParams
 from kincoop.genotype import GenotypeSpace, enumerate_genotypes
 from kincoop.learning import LearnerConfig
@@ -41,6 +43,12 @@ EARLY_STOP = ["-s", "learner.decay=0.9", "-s", "learner.epsilon_min=0.000001"]
 # two seeds over two workers: the points of one (eta, mode, seed) share a
 # network and a random stream, and with EARLY_STOP they stop at different steps
 TWO_SEEDS_JOBS2 = ["--seeds", "1,2", "--jobs", "2"]
+# 9 communities of 15 agents (2 loci, 3 variants): N = 135 is not a multiple
+# of 8, so numpy's pairwise row sum splits it into leaves of 64 and 71, the
+# second with a 7-term tail
+NODES_135 = [
+    "-s", "genotype.loci=2", "-s", "genotype.variants=3", "-s", "partition.community_size=15",
+]
 SANDBOX_Q = [
     "sandbox", str(CONFIGS / "sandbox.yaml"),
     "-s", "policy.kind=q", "-s", "policy.alpha=0.5", "-s", "policy.q_init=0.3",
@@ -97,6 +105,12 @@ CASES = {
     }),
     "dispersal-two-seeds-jobs2-early-stop": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2, *EARLY_STOP], {
         "dispersal.csv": "72bba58e07f57f6328454cac93498f3911cd169447992131f88b7eaf96251b7a",
+    }),
+    "dispersal-135-nodes": ([*DISPERSAL_SMALL, *NODES_135], {
+        "dispersal.csv": "93239e1e64e17ec3c6203aff7951f4fc2d8f5feca52066f7326211974f21a957",
+    }),
+    "dispersal-135-nodes-edge-sampling": ([*DISPERSAL_SMALL, *NODES_135, "-s", "edge_sampling=true"], {
+        "dispersal.csv": "e72bfb04e31919b5ba42f6d8a16142451cc46401e800b0886419a9c959bf5cde",
     }),
 }
 
@@ -187,3 +201,69 @@ def test_sparse_network_dispersal_digests(edge_sampling, inclusive):
         res.q_values.tobytes() + res.coop_freq.tobytes() + res.greedy_final.tobytes()
     ).hexdigest()
     assert digest == SPARSE_DISPERSAL[edge_sampling, inclusive]
+
+
+def learned_digest(res):
+    assert (res.q_values.dtype, res.coop_freq.dtype, res.greedy_final.dtype) == (
+        np.float64, np.float64, np.int8
+    )
+    return hashlib.sha256(
+        res.q_values.tobytes() + res.coop_freq.tobytes() + res.greedy_final.tobytes()
+    ).hexdigest()
+
+
+# Networks whose size is not a power of two, so that numpy's pairwise row sum
+# has leaves of unequal length: N = 135 (leaves of 64 and 71, the second with
+# a tail of 7 terms summed one by one) and N = 992 (eight leaves of 120 and
+# 128). (genotype space, community size) per size.
+IRREGULAR_SIZES = {135: (GenotypeSpace(2, 3), 15), 992: (GenotypeSpace(5, 2), 31)}
+# sha256 per (nodes, mode); every case learns a group of three dilemmas
+IRREGULAR_DISPERSAL = {
+    (135, "inclusive"): "23c77ca7251eee7d6285fb8d40486a0c04ba4d6ad5ae9c6b12fb25a1dc7eab14",
+    (135, "baseline"): "d50664f0d82b58cdb6c8a787de556a8acfe4899b1b6588f05cfd759a7c315a1d",
+    (135, "edge-sampling"): "3186b4506a1be3532f2a53d90170eaaba278afc41b92e7db341f5552252e4008",
+    (135, "override-inclusive"): "53d19cedaa1cc37db182b7029077c1f741893cb946ed5958d3ca458ecaaa35a4",
+    (135, "override-baseline"): "ec35c6d26f8d54a059fb8021b376202a8973763f2427a1c7f7b05318b9ce9fdc",
+    (992, "inclusive"): "b69e7a4c654be03c38a7115090aa3e756d4621b01f865bb20a5f46364ef3a942",
+    (992, "baseline"): "0e2ae455573caf9cdbca30d176692f8fdf781dffb779c36575b2f0f28ec3116d",
+    (992, "edge-sampling"): "bf8fa9085620bc5537855595a887c6cee4f5f81ef7b95949f046979a667d3375",
+}
+IRREGULAR_MODES = {
+    "inclusive": dict(),
+    "baseline": dict(inclusive=False),
+    "edge-sampling": dict(edge_sampling=True),
+    "override-inclusive": dict(),
+    "override-baseline": dict(inclusive=False),
+}
+
+
+@pytest.mark.parametrize(
+    "nodes,mode", sorted(IRREGULAR_DISPERSAL), ids=lambda value: str(value)
+)
+def test_irregular_size_dispersal_digests(nodes, mode):
+    space, community_size = IRREGULAR_SIZES[nodes]
+    group = tuple(
+        ExperimentConfig(
+            kind="dispersal",
+            space=space,
+            dilemma=DilemmaParams(benefit, 1.0),
+            learner=LearnerConfig(),
+            steps_max=150,
+            window=50,
+            partition=PartitionSpec(community_size, space.size, 9.0, 0.1),
+            **IRREGULAR_MODES[mode],
+        )
+        for benefit in (2.0, 5.0, 12.0)
+    )
+    if mode.startswith("override"):
+        # sparse enough to leave nodes without neighbours
+        net = build_partition_network_with_probs(
+            community_size, enumerate_genotypes(space), 0.1, 0.006, np.random.default_rng(11)
+        )
+        results = [run_dispersal(cfg, 3, network_override=net) for cfg in group]
+        assert results[0].isolated_count == 20
+    else:
+        results = [run_experiment(cfg, 3, group) for cfg in group]
+    assert all(res.coop_freq.shape == (nodes,) for res in results)
+    digest = hashlib.sha256("".join(learned_digest(res) for res in results).encode()).hexdigest()
+    assert digest == IRREGULAR_DISPERSAL[nodes, mode]
