@@ -10,6 +10,7 @@ import csv
 import datetime
 import functools
 import os
+import platform
 from pathlib import Path
 from typing import Optional
 
@@ -87,6 +88,10 @@ def _write_manifest(
         {
             "command": command,
             "version": __version__,
+            # dispersal rewards are bit-exact only under numpy's summation order
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
             "config_hash": config_hash(resolved),
             "seeds": list(seeds),
             "started_at": started,

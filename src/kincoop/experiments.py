@@ -14,6 +14,17 @@ that supply what differs:
   mask of agents that have neighbors, and the mean reward over all
   neighbors, or the reward against one sampled neighbor.
 
+The dispersal rewards touch the edges alone. Each directed edge's pair
+reward for the four action pairs is tabled once per group, with the
+similarity looked up per community pair. The mean over neighbors is the
+row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
+the edges, would give under numpy's ``sum(axis=-1)``, reproduced term for
+term in numpy's pairwise order by ``pairsum.PairwiseRowSum``, so it
+matches that dense mean bit for bit. Each step costs O(P·E) lookups and
+writes for P points and E edges, plus a fixed combine over about N·N/16
+slots per point (8·N below 128 nodes); no N x N array is built unless a
+similarity override is given.
+
 Optionally each reward credits the opponent's payoff weighted by genetic
 similarity. Randomness is consumed in fixed-shape blocks every step, so
 two runs that differ only in reward wiring draw identical streams; that
@@ -57,6 +68,7 @@ from .networks import (
     degree_stats,
     derive_partition_probs,
 )
+from .pairsum import PairwiseRowSum
 
 # Complete-network runs keep N*N*2 value tables and several N*N work arrays
 # per step; past this many agents the experiment needs a different design.
@@ -115,7 +127,9 @@ class RunResult:
     over the final measurement window for discrimination runs (N x N,
     valid where ``state_mask``), or per-agent frequency (length N) for
     dispersal runs. ``greedy_final`` is the sign of the final value gap:
-    +1 cooperate, -1 defect, 0 exact tie.
+    +1 cooperate, -1 defect, 0 exact tie. ``state_mask`` and the N x N
+    agent ``similarity`` are set for discrimination runs and ``None`` for
+    dispersal runs.
     """
 
     kind: str
@@ -128,7 +142,7 @@ class RunResult:
     mean_degree: float
     min_degree: int
     isolated_count: int
-    similarity: np.ndarray
+    similarity: Optional[np.ndarray]
     q_values: np.ndarray
 
 
@@ -234,11 +248,24 @@ def _similarity(
     return sim
 
 
+def _edge_similarity(
+    net: NetworkTopology, override: Optional[np.ndarray], agent: np.ndarray, nbr: np.ndarray
+) -> np.ndarray:
+    """Similarity of each directed edge's agent to its neighbour: the
+    override's entry, or the Hamming similarity of the two communities'
+    genotypes (the same float as between the two nodes)."""
+    if override is not None:
+        return _similarity(net.genotypes, override)[agent, nbr]
+    _, first, community = np.unique(net.communities, return_index=True, return_inverse=True)
+    sim = similarity_matrix([net.genotypes[node] for node in first])
+    return sim[community[agent], community[nbr]]
+
+
 def _run_result(
     config: ExperimentConfig,
     seed: int,
     net: NetworkTopology,
-    sim: np.ndarray,
+    sim: Optional[np.ndarray],
     state_mask: Optional[np.ndarray],
     learned: _Learned,
 ) -> RunResult:
@@ -354,69 +381,71 @@ def _run_dispersal_group(
             genotypes = enumerate_genotypes(config.space)
         net = build_partition_network(config.partition, genotypes, rng)
     n_agents = net.node_count
-    sim = _similarity(net.genotypes, similarity_override)
 
-    adjacency = net.adjacency()
-    has_neighbors = adjacency.any(axis=1)
+    # Each edge read both ways, by agent and then by neighbour: the order of
+    # np.nonzero on the adjacency matrix.
+    u, v = net.edges.T
+    agent, nbr = np.concatenate([u, v]), np.concatenate([v, u])
+    by_agent = np.lexsort((nbr, agent))
+    agent, nbr = agent[by_agent], nbr[by_agent]
+    nbr_count = np.bincount(agent, minlength=n_agents)
+    has_neighbors = nbr_count > 0
+    edge_sim = _edge_similarity(net, similarity_override, agent, nbr)
     n_points = len(configs)
     pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
-    point = np.arange(n_points)[:, None]
 
     if config.edge_sampling:
         # Neighbor lists in CSR form. The trailing pad keeps an isolated
         # agent's empty slice indexable; the kernel masks its update.
-        rows, cols = np.nonzero(adjacency)
-        nbr_index = np.append(cols, 0)
-        nbr_count = np.bincount(rows, minlength=n_agents)
+        point = np.arange(n_points)[:, None]
+        nbr_index = np.append(nbr, 0)
+        pick_sim = np.append(edge_sim, 0.0)
         nbr_start = np.cumsum(nbr_count) - nbr_count
-        agents = np.arange(n_agents)
 
-        # Only each agent's picked pair is evaluated, with the same float
-        # operations as that cell of the dense pair reward below.
+        # Only each agent's picked pair is evaluated.
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
-            partner = nbr_index[nbr_start + (picks * nbr_count).astype(np.intp)]
-            partner_acts = acts[:, partner]
+            pick = nbr_start + (picks * nbr_count).astype(np.intp)
+            partner_acts = acts[:, nbr_index[pick]]
             payoff = pms[point, acts, partner_acts]
             if config.inclusive:
-                return payoff + sim[agents, partner] * pms[point, partner_acts, acts]
+                return payoff + pick_sim[pick] * pms[point, partner_acts, acts]
             return payoff
 
     else:
-        adj_f = adjacency.astype(float)
-        degree_safe = np.maximum(adj_f.sum(axis=1), 1.0)
-        pms_t = pms.transpose(0, 2, 1).copy()  # [point, other, own]
-        # Buffers reused across steps: on large networks, N x N temporaries
-        # freed at every return are handed back to the OS and page-fault
-        # when reallocated.
-        payoff = np.empty((n_points, n_agents, n_agents))
-        payoff_t = np.empty_like(payoff) if config.inclusive else None
+        # The mean over neighbours is the row sum of the dense (agent,
+        # neighbour) pair rewards, zero off the edges, in numpy's pairwise
+        # order (see ``pairsum``), over the edges alone.
+        row_sum = PairwiseRowSum(agent, nbr, n_agents, n_agents, n_points)
+        at, e = row_sum.point * n_agents, row_sum.term
+        own_at, other_at = at + agent[e], at + nbr[e]
+        # Each edge's pair reward for the four action pairs, filled once:
+        # table[p, 2 * a_own + a_other, e] is the float expression
+        # sim * pm_p[a_other, a_own] + pm_p[a_own, a_other], or
+        # pm_p[a_own, a_other] for the baseline.
+        n_edges = len(agent)
+        table = np.empty((n_points, 4, n_edges))
+        for a_own in (0, 1):
+            for a_other in (0, 1):
+                payoff = pms[:, a_own, a_other, None]
+                if config.inclusive:
+                    payoff = edge_sim * pms[:, a_other, a_own, None] + payoff
+                table[:, 2 * a_own + a_other] = payoff
+        table = table.ravel()
+        lookup = row_sum.point * 4 * n_edges + e
+        degree_safe = np.maximum(nbr_count, 1).astype(float)
 
-        def gather_pairs(table_t: np.ndarray, acts: np.ndarray, out: np.ndarray) -> None:
-            """out[p, i, j] = table_t[p, a_j, a_i], copied by rows: row k of
-            point p's block holds table_t[p, a_j, k] for every j."""
-            blocks = table_t[point, acts].transpose(0, 2, 1).reshape(2 * n_points, n_agents)
-            # mode="clip" (the rows are always in range) writes to out unbuffered
-            np.take(blocks, 2 * point + acts, axis=0, out=out, mode="clip")
-
-        # payoff[p, i, j] = pm_p[a_i, a_j] and payoff_t[p, i, j] = pm_p[a_j, a_i].
-        # Every pair reward is the float expression of a single-point run, and
-        # each agent's mean sums its own contiguous row of N of them, so the
-        # order of additions, and every bit of the mean, are unchanged.
         def reward_fn(acts: np.ndarray) -> np.ndarray:
-            gather_pairs(pms_t, acts, payoff)
-            if config.inclusive:
-                gather_pairs(pms, acts, payoff_t)
-                np.multiply(sim, payoff_t, out=payoff_t)
-                np.add(payoff_t, payoff, out=payoff_t)
-                pair_reward = np.multiply(payoff_t, adj_f, out=payoff_t)
-            else:
-                pair_reward = np.multiply(payoff, adj_f, out=payoff)
-            return pair_reward.sum(axis=-1) / degree_safe
+            scaled = (acts * n_edges).ravel()
+            index = np.take(scaled, own_at)
+            index += index
+            index += np.take(scaled, other_at)
+            index += lookup
+            return row_sum(np.take(table, index)) / degree_safe
 
     learned = _learn(config, has_neighbors, reward_fn, rng, n_points)
     return [
-        _run_result(point_config, seed, net, sim, None, point_learned)
+        _run_result(point_config, seed, net, None, None, point_learned)
         for point_config, point_learned in zip(configs, learned)
     ]
 

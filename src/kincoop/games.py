@@ -20,10 +20,6 @@ class DilemmaParams:
                 f"need benefit > cost > 0 for a dilemma, got b={self.benefit}, c={self.cost}"
             )
 
-    @property
-    def cost_benefit_ratio(self) -> float:
-        return self.cost / self.benefit
-
 
 def payoff_matrix(params: DilemmaParams) -> np.ndarray:
     """Row player's individual payoff, indexed [own action, other action].

@@ -131,14 +131,27 @@ def build_complete_network(genotypes: list[Genotype]) -> NetworkTopology:
     )
 
 
+# Uniforms drawn per block of rows when sampling a network, so that no
+# N x N array is held at once.
+DRAW_BLOCK = 1 << 16
+
+
 def _sample_partition_edges(
     communities: np.ndarray, p_in: float, p_out: float, rng: np.random.Generator
 ) -> np.ndarray:
+    """Upper-triangle ``(u, v)`` pairs, row by row, where the row-major
+    ``(n, n)`` block of uniforms falls below the pair's edge probability;
+    the block is drawn in row chunks, which consume the same stream."""
     n = len(communities)
-    same = communities[:, None] == communities[None, :]
-    probs = np.where(same, p_in, p_out)
-    draws = rng.random((n, n))
-    return np.argwhere(np.triu(draws < probs, k=1))
+    chunk = max(1, DRAW_BLOCK // max(n, 1))
+    cols = np.arange(n)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for start in range(0, n, chunk):
+        rows = cols[start : start + chunk, None]
+        probs = np.where(communities[rows] == communities, p_in, p_out)
+        hits = (rng.random(probs.shape) < probs) & (cols > rows)
+        edges.append(np.argwhere(hits) + [start, 0])
+    return np.concatenate(edges)
 
 
 def build_partition_network_with_probs(

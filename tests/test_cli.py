@@ -1,6 +1,8 @@
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -135,6 +137,9 @@ class TestDiscriminationCommand:
         assert manifest["command"] == "discrimination"
         assert manifest["seeds"] == [1, 2]
         assert len(manifest["config_hash"]) == 64
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == platform.platform()
         runs = json.loads((tmp_path / "o" / "discrimination_runs.json").read_text())
         assert len(runs) == 2
         assert {"seed", "converged_at", "mean_degree", "isolated_count"} <= set(runs[0])

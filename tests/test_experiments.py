@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,35 @@ class TestDispersalGroups:
         again = run_experiment(group[0], 2, group)
         assert np.array_equal(first.q_values, again.q_values)
         assert np.array_equal(run_experiment(group[1], 2, group).q_values, run_dispersal(group[1], 2).q_values)
+
+
+class TestDispersalMemory:
+    """A dispersal group holds no N x N array: the network is drawn in row
+    chunks, similarity is looked up per community pair and the reward is
+    summed over the edges."""
+
+    @pytest.mark.parametrize("mode", [dict(), dict(inclusive=False), dict(edge_sampling=True)])
+    def test_peak_below_one_dense_array(self, mode):
+        space = GenotypeSpace(5, 2)
+        group = tuple(
+            small_dispersal(
+                space=space,
+                partition=PartitionSpec(32, 32, 9.0, 0.1),
+                dilemma=DilemmaParams(benefit=b, cost=1.0),
+                steps_max=20,
+                window=10,
+                **mode,
+            )
+            for b in (2.0, 8.0)
+        )
+        tracemalloc.start()
+        try:
+            results = [run_experiment(cfg, 1, group) for cfg in group]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results[0].coop_freq.shape == (1024,)
+        assert peak < 1024 * 1024 * 8  # bytes of one 1024 x 1024 float64 array
 
 
 class TestAggregate:

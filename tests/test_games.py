@@ -16,7 +16,7 @@ def strict_c_dominance(matrix: np.ndarray) -> bool:
 class TestDilemmaParams:
     def test_valid(self):
         p = DilemmaParams(benefit=3.0, cost=1.0)
-        assert p.cost_benefit_ratio == pytest.approx(1 / 3)
+        assert (p.benefit, p.cost) == (3.0, 1.0)
 
     @pytest.mark.parametrize("b,c", [(1.0, 1.0), (1.0, 2.0), (2.0, 0.0), (0.0, -1.0)])
     def test_invalid(self, b, c):

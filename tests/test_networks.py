@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kincoop import networks
 from kincoop.genotype import GenotypeSpace, enumerate_genotypes
 from kincoop.networks import (
     InfeasiblePartitionError,
@@ -206,3 +207,31 @@ class TestPartitionNetwork:
         net = build_partition_network(spec, EIGHT_GENOTYPES, np.random.default_rng(17))
         assert all(u < v for u, v in net.edges)
         assert len(np.unique(net.edges, axis=0)) == len(net.edges)
+
+
+class TestChunkedDraws:
+    """Network sampling draws its N x N block of uniforms in row chunks; the
+    edges, their order and the stream left behind equal one whole block's."""
+
+    @staticmethod
+    def one_block(communities, p_in, p_out, rng):
+        n = len(communities)
+        probs = np.where(communities[:, None] == communities[None, :], p_in, p_out)
+        return np.argwhere(np.triu(rng.random((n, n)) < probs, k=1))
+
+    @pytest.mark.parametrize("size,communities", [(2, 1), (64, 8), (135, 9), (992, 32), (1024, 32)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_edges_and_stream(self, size, communities, seed):
+        labels = np.repeat(np.arange(communities), size // communities)
+        chunked_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chunked = networks._sample_partition_edges(labels, 0.2, 0.01, chunked_rng)
+        block = self.one_block(labels, 0.2, 0.01, block_rng)
+        assert chunked.dtype == block.dtype and np.array_equal(chunked, block)
+        assert chunked_rng.random() == block_rng.random()
+
+    def test_uneven_last_chunk(self, monkeypatch):
+        # 5 rows per chunk over 64 nodes: 13 chunks, the last of 4 rows
+        monkeypatch.setattr(networks, "DRAW_BLOCK", 5 * 64)
+        labels = np.repeat(np.arange(8), 8)
+        chunked = networks._sample_partition_edges(labels, 0.5, 0.1, np.random.default_rng(3))
+        assert np.array_equal(chunked, self.one_block(labels, 0.5, 0.1, np.random.default_rng(3)))
