@@ -91,7 +91,8 @@ def _write_manifest(
             # dispersal rewards are bit-exact only under numpy's summation order
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            # platform.platform() would scan the interpreter binary for its libc
+            "platform": "-".join((platform.system(), platform.release(), platform.machine())),
             "config_hash": config_hash(resolved),
             "seeds": list(seeds),
             "started_at": started,

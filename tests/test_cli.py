@@ -139,7 +139,7 @@ class TestDiscriminationCommand:
         assert len(manifest["config_hash"]) == 64
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
-        assert manifest["platform"] == platform.platform()
+        assert manifest["platform"] == f"{platform.system()}-{platform.release()}-{platform.machine()}"
         runs = json.loads((tmp_path / "o" / "discrimination_runs.json").read_text())
         assert len(runs) == 2
         assert {"seed", "converged_at", "mean_degree", "isolated_count"} <= set(runs[0])

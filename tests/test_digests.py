@@ -163,6 +163,16 @@ def test_csv_digests(case, tmp_path):
         assert [(run["steps_run"], run["converged_at"]) for run in runs] == stops
 
 
+def learned_digest(res):
+    """sha256 of a dispersal result's Q values, frequencies and greedy signs."""
+    assert (res.q_values.dtype, res.coop_freq.dtype, res.greedy_final.dtype) == (
+        np.float64, np.float64, np.int8
+    )
+    return hashlib.sha256(
+        res.q_values.tobytes() + res.coop_freq.tobytes() + res.greedy_final.tobytes()
+    ).hexdigest()
+
+
 # A sparse override network with 9 isolated nodes and 54 edges, which the
 # sampled partition networks of the shipped config almost never produce.
 SPARSE_DISPERSAL = {
@@ -194,22 +204,7 @@ def test_sparse_network_dispersal_digests(edge_sampling, inclusive):
     )
     res = run_dispersal(cfg, 5, network_override=net)
     assert res.isolated_count == 9
-    assert (res.q_values.dtype, res.coop_freq.dtype, res.greedy_final.dtype) == (
-        np.float64, np.float64, np.int8
-    )
-    digest = hashlib.sha256(
-        res.q_values.tobytes() + res.coop_freq.tobytes() + res.greedy_final.tobytes()
-    ).hexdigest()
-    assert digest == SPARSE_DISPERSAL[edge_sampling, inclusive]
-
-
-def learned_digest(res):
-    assert (res.q_values.dtype, res.coop_freq.dtype, res.greedy_final.dtype) == (
-        np.float64, np.float64, np.int8
-    )
-    return hashlib.sha256(
-        res.q_values.tobytes() + res.coop_freq.tobytes() + res.greedy_final.tobytes()
-    ).hexdigest()
+    assert learned_digest(res) == SPARSE_DISPERSAL[edge_sampling, inclusive]
 
 
 # Networks whose size is not a power of two, so that numpy's pairwise row sum
