@@ -88,7 +88,7 @@ def _write_manifest(
         {
             "command": command,
             "version": __version__,
-            # dispersal rewards are bit-exact only under numpy's summation order
+            # dispersal outputs rest on numpy's summation order (see pairsum)
             "python": platform.python_version(),
             "numpy": np.__version__,
             # platform.platform() would scan the interpreter binary for its libc

@@ -71,7 +71,7 @@ class PairwiseRowSum:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n: int, points: int):
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        leaves, self.tree = pairwise_tree(n)
+        leaves, self._tree = pairwise_tree(n)
         starts = np.array([start for start, _ in leaves], dtype=np.intp)
         lengths = np.array([length for _, length in leaves], dtype=np.intp)
         n_leaves = len(leaves)
@@ -132,4 +132,4 @@ class PairwiseRowSum:
                 return leaf_sums[node]
             return combine(node[0]) + combine(node[1])
 
-        return combine(self.tree)
+        return combine(self._tree)
