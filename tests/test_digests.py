@@ -6,7 +6,9 @@ digest recorded before the code it covers was reworked: the sandbox reward
 path, the merge of the two network runners into one learning kernel, the
 sandbox Q policy's move from a dict table to two floats per agent, and the
 dispersal reward's move from a dense row sum to an edge list summed in
-numpy's pairwise order.
+numpy's pairwise order. The early-stop cases at the end pin the results of
+points that stop before ``steps_max``, recorded before the learning kernel
+dropped its stored window of greedy snapshots.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -20,7 +22,12 @@ import pytest
 from click.testing import CliRunner
 
 from kincoop.cli import main
-from kincoop.experiments import ExperimentConfig, run_dispersal, run_experiment
+from kincoop.experiments import (
+    ExperimentConfig,
+    run_discrimination,
+    run_dispersal,
+    run_experiment,
+)
 from kincoop.games import DilemmaParams
 from kincoop.genotype import GenotypeSpace, enumerate_genotypes
 from kincoop.learning import LearnerConfig
@@ -164,7 +171,7 @@ def test_csv_digests(case, tmp_path):
 
 
 def learned_digest(res):
-    """sha256 of a dispersal result's Q values, frequencies and greedy signs."""
+    """sha256 of a result's Q values, frequencies and greedy signs."""
     assert (res.q_values.dtype, res.coop_freq.dtype, res.greedy_final.dtype) == (
         np.float64, np.float64, np.int8
     )
@@ -262,3 +269,57 @@ def test_irregular_size_dispersal_digests(nodes, mode):
     assert all(res.coop_freq.shape == (nodes,) for res in results)
     digest = hashlib.sha256("".join(learned_digest(res) for res in results).encode()).hexdigest()
     assert digest == IRREGULAR_DISPERSAL[nodes, mode]
+
+
+# EARLY_STOP as a learner: epsilon reaches its 1e-6 floor near step 131, and
+# a point stops once its greedy policy has then held for a whole window.
+EARLY_STOP_LEARNER = LearnerConfig(decay=0.9, epsilon_min=1e-6)
+# (seed, steps_max): (steps_run, converged_at) per point, and sha256 of a
+# group of three dilemmas on the 135-node network. Seed 3 stops its points
+# at three different steps; seed 1 stops one and runs two to the end.
+EARLY_STOP_DISPERSAL = {
+    (3, 250): (
+        [(153, 153), (136, 136), (133, 133)],
+        "1fd867c11dc72744b76181a476d44a46259459d6ba556e3aa28a816ed1806f71",
+    ),
+    (1, 170): (
+        [(170, None), (170, None), (133, 133)],
+        "5b16a3a52eff088e110646f82ca1876d767e7aec8e19a369ec79ce5838d60344",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,steps_max", sorted(EARLY_STOP_DISPERSAL), ids=str)
+def test_early_stop_dispersal_digests(seed, steps_max):
+    space, community_size = IRREGULAR_SIZES[135]
+    group = tuple(
+        ExperimentConfig(
+            kind="dispersal",
+            space=space,
+            dilemma=DilemmaParams(benefit, 1.0),
+            learner=EARLY_STOP_LEARNER,
+            steps_max=steps_max,
+            window=100,
+            partition=PartitionSpec(community_size, space.size, 9.0, 0.1),
+        )
+        for benefit in (2.0, 5.0, 12.0)
+    )
+    results = [run_experiment(cfg, seed, group) for cfg in group]
+    stops, expected = EARLY_STOP_DISPERSAL[seed, steps_max]
+    assert [(res.steps_run, res.converged_at) for res in results] == stops
+    digest = hashlib.sha256("".join(learned_digest(res) for res in results).encode()).hexdigest()
+    assert digest == expected
+
+
+def test_early_stop_discrimination_digest():
+    cfg = ExperimentConfig(
+        kind="discrimination",
+        space=GenotypeSpace(3, 2),
+        dilemma=DilemmaParams(4.0, 1.0),
+        learner=EARLY_STOP_LEARNER,
+        steps_max=400,
+        window=100,
+    )
+    res = run_discrimination(cfg, 3)
+    assert (res.steps_run, res.converged_at) == (168, 168)
+    assert learned_digest(res) == "85eea1a552ee14212bf36bd6d4e7529cec452e0754992796276e67528fc37725"
