@@ -35,7 +35,7 @@ The same fact lets the kernel learn several parameter points at once. Its
 value tables carry a leading axis of P points; each step's draws are made
 once, in the state mask's shape, and broadcast over that axis, and every
 point keeps its own stable-step counter. A point that meets the stop rule
-is frozen and reported as of its own stop step, so each point's result is
+is reported as of its own stop step, so each point's result is
 bit-identical to a run of that point alone. ``run_sweep`` groups the
 dispersal tasks whose configs differ only in ``dilemma`` and share a seed,
 one group per (eta, reward mode, seed). A group samples its network and
@@ -46,11 +46,14 @@ Discrimination tasks run one point each.
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
 sampled-action frequencies would differ by the residual exploration level.
+No window is stored: one integer per cell sums snapshot + 1 (0 defect, 1
+tie, 2 cooperate) over the last ``window`` steps, and count / (2 * window)
+is the window mean exactly. A point that stops early held its last snapshot
+throughout its window, so its mean is (snapshot + 1) / 2.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -70,8 +73,10 @@ from .networks import (
 )
 from .pairsum import PairwiseRowSum
 
-# Complete-network runs keep N*N*2 value tables and several N*N work arrays
-# per step; past this many agents the experiment needs a different design.
+# Per (agent, opponent) cell a complete-network run keeps two float64 value
+# tables, one int64 window count and one step's work arrays, whatever the
+# window: 194 MB peak RSS at 1024 agents. The limit bounds time instead: 0.1 s
+# a step there on a 2-vCPU host, so a 3000-step run takes about 5 minutes.
 MAX_DISCRIMINATION_AGENTS = 1024
 
 KINDS = ("discrimination", "dispersal")
@@ -171,10 +176,11 @@ def _learn(
     coin tie-breaks, then ``reward_fn`` maps the (points, *shape) actions to
     the reward of each cell's action (it may draw more numbers from
     ``rng``), and the taken action's value moves toward it wherever
-    ``active``. A point stops once its greedy policy has not changed for a
-    full window and epsilon is at its floor; from then on it is frozen and
-    its result is the one at its stop step. The loop ends when every point
-    has stopped.
+    ``active``. Each cell counts snapshot + 1 over the last ``window``
+    steps. A point stops once its greedy policy has not changed for a full
+    window and epsilon is at its floor; that window held its last snapshot
+    alone, and its result is the one at its stop step. The loop ends when
+    every point has stopped.
     """
     learner = resolve_decay(config.learner, config.steps_max)
     shape = active.shape
@@ -182,18 +188,16 @@ def _learn(
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
     inactive = ~active
-    running = np.ones(points, dtype=bool)
-    update = np.broadcast_to(active, q_c.shape)
 
-    coop_window: deque[np.ndarray] = deque(maxlen=config.window)
-    prev_greedy: Optional[np.ndarray] = None
-    stable_steps = np.zeros(points, dtype=np.int64)
+    # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
+    coop_count = np.zeros((points,) + shape, dtype=np.int64)
+    prev_greedy = np.zeros((points,) + shape, dtype=np.int8)
+    stable_steps = np.zeros(points, dtype=np.int64)  # 1 after step 0, whatever prev_greedy
     learned: list[Optional[_Learned]] = [None] * points
 
-    def finish(p: int, steps_run: int, converged_at: Optional[int]) -> _Learned:
-        coop_freq = np.mean(np.stack([window[p] for window in coop_window]), axis=0)
+    def finish(p: int, freq: np.ndarray, steps_run: int, converged_at: Optional[int]) -> _Learned:
         q = np.stack([q_c[p], q_d[p]], axis=-1)
-        return _Learned(coop_freq, prev_greedy[p], converged_at, steps_run, q)
+        return _Learned(freq, prev_greedy[p], converged_at, steps_run, q)
 
     for t in range(config.steps_max):
         eps = epsilon_at(learner, t)
@@ -208,32 +212,28 @@ def _learn(
         defect = acts == 1
         q_taken = np.where(defect, q_d, q_c)
         q_new = q_update(q_taken, reward, learner.alpha)
-        update_d = update & defect
+        update_d = active & defect
         np.copyto(q_d, q_new, where=update_d)
-        np.copyto(q_c, q_new, where=update ^ update_d)
+        np.copyto(q_c, q_new, where=active ^ update_d)
 
         gap = q_c - q_d
         snapshot = np.sign(gap).astype(np.int8)
         snapshot[:, inactive] = 0
-        coop_window.append((snapshot.astype(float) + 1.0) / 2.0)
-        if prev_greedy is None:
-            stable_steps[:] = 1
-        else:
-            same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
-            stable_steps = np.where(same, stable_steps + 1, 1)
+        if t >= config.steps_max - config.window:
+            coop_count += snapshot + 1
+        same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
+        stable_steps = np.where(same, stable_steps + 1, 1)
         prev_greedy = snapshot
         if eps <= learner.epsilon_min:
-            stopped = running & (stable_steps >= config.window)
-            if stopped.any():
-                for p in np.flatnonzero(stopped):
-                    learned[p] = finish(p, t + 1, t + 1)
-                running &= ~stopped
-                if not running.any():
-                    break
-                update = active & running.reshape((points,) + (1,) * len(shape))
+            for p in np.flatnonzero(stable_steps >= config.window):
+                if learned[p] is None:
+                    learned[p] = finish(p, (snapshot[p] + 1.0) / 2.0, t + 1, t + 1)
+            if None not in learned:
+                break
 
-    for p in np.flatnonzero(running):
-        learned[p] = finish(p, config.steps_max, None)
+    for p in range(points):
+        if learned[p] is None:
+            learned[p] = finish(p, coop_count[p] / (2 * config.window), config.steps_max, None)
     return learned
 
 

@@ -315,6 +315,23 @@ class TestDispersalMemory:
         assert peak < 1024 * 1024 * 8  # bytes of one 1024 x 1024 float64 array
 
 
+class TestDiscriminationMemory:
+    """The learning kernel keeps no history of greedy snapshots: its state is
+    two value tables, one window count and the work arrays of one step,
+    whatever the window's length."""
+
+    def test_peak_independent_of_window(self):
+        cfg = small_discrimination(space=GenotypeSpace(7, 2), steps_max=120, window=100)
+        tracemalloc.start()
+        try:
+            result = run_discrimination(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.coop_freq.shape == (128, 128)
+        assert peak < 50 * 128 * 128 * 8  # bytes of 50 float64 128 x 128 tables
+
+
 class TestAggregate:
     def test_single_result(self):
         rows = aggregate([{0.5: 0.8}])
