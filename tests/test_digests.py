@@ -1,4 +1,4 @@
-"""Golden sha256 digests of the CSV outputs.
+"""Golden sha256 digests of the command outputs.
 
 Each case runs one command on a shipped config, shrunk through overrides
 where the full run would be slow, and compares every CSV it writes with a
@@ -8,7 +8,8 @@ sandbox Q policy's move from a dict table to two floats per agent, and the
 dispersal reward's move from a dense row sum to an edge list summed in
 numpy's pairwise order. The early-stop cases at the end pin the results of
 points that stop before ``steps_max``, recorded before the learning kernel
-dropped its stored window of greedy snapshots.
+dropped its stored window of greedy snapshots. The output cases pin the
+SVG chart and the ``*_runs.json`` sidecar of each sweep command as well.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -168,6 +169,57 @@ def test_csv_digests(case, tmp_path):
         name, stops = STOPS[case]
         runs = json.loads((out_dir / name).read_text())
         assert [(run["steps_run"], run["converged_at"]) for run in runs] == stops
+
+
+# Every output of a sweep but its manifest: the CSV, the *_runs.json sidecar
+# and the SVG chart, recorded before the two sweep commands were merged into
+# one path. The variants cover sweep lists given out of order, both mode
+# orders, the --inclusive flag on each command, and two seeds on two workers.
+OUTPUT_CASES = {
+    "discrimination-unsorted-plot": ([
+        *DISCRIMINATION_SMALL, "--plot", "--seeds", "1,2", "-s", "dilemma.benefits=[2.5,10,4]",
+    ], {
+        "discrimination.csv": "98661252c753d754486693fd0d86e4503e6ef85bb8dda1329ee2df4bc36acda9",
+        "discrimination.svg": "02ce03a5da1489af041c21807468defd7ec1fd7534d634b119dd63d2b7ccb97e",
+        "discrimination_runs.json": "43c07aa9c8750d519f3c3bd02393a1d66b15f9ad6f2b82d2353edc1d1d0b4ed2",
+    }),
+    "discrimination-inclusive-false-plot": ([*DISCRIMINATION_SMALL, "--plot", "--inclusive=false"], {
+        "discrimination.csv": "e71e35e296e91bf123ee6bd8500ee381ad087152ec748a183da6a4144cd67a25",
+        "discrimination.svg": "2cb7e817a8540035d651ff8377e489f06e4a11fb676c1c6ede7449d32bab2c54",
+        "discrimination_runs.json": "6a2f4e3758b827aca8d2b07a6ca8e8d34a7e0af327234b8a6f196c2f92f2441f",
+    }),
+    "dispersal-unsorted-plot": ([
+        *DISPERSAL_SMALL, "--plot", "-s", "dilemma.b_over_c=[8,2,12]",
+        "-s", "partition.etas=[0.5,0.1]", "-s", "modes=[baseline,inclusive]",
+    ], {
+        "dispersal.csv": "40846d633fb0f8550beec0e938ef688681c9ef475fb5cd245cfec5d4df5a11aa",
+        "dispersal.svg": "fe842f27dac3926885a8ecf231dc12d585c1856b7fc4e3603a3c07796e4cd60a",
+        "dispersal_runs.json": "ca3f164d6ab7e8b226b2f465fdd1f60d3c508d26cbda679536b2a1b9f1e2b3cf",
+    }),
+    "dispersal-inclusive-false-plot": ([*DISPERSAL_SMALL, "--plot", "--inclusive=false"], {
+        "dispersal.csv": "51ba4f24af6683dfb5bf3af50ae48e81be063c44cfa384d3b9ef79cadbb3bc34",
+        "dispersal.svg": "498d21ee1d425cae93a99f7db9c89778eb1f340e926d0ceb0cc6bc7398c83822",
+        "dispersal_runs.json": "22c1e0262b6e5a6624bcdd6b6248715853d737deff9e6faeb6d8c0f4863eba9c",
+    }),
+    "dispersal-two-seeds-jobs2-plot": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2, "--plot"], {
+        "dispersal.csv": "c998b912bf825548e4b9e9a7f4809db55724335baaacf6c5c05643e400eace7c",
+        "dispersal.svg": "2a670a264c0f81a674db2d855ff04e4eec4ecf0ff57eced777fb82c382c1b909",
+        "dispersal_runs.json": "8ae988077e9642b32084aa81b0cac2305fe5f9392c886ee9d84337ba7f499660",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_digests(case, tmp_path):
+    args, expected = OUTPUT_CASES[case]
+    out_dir = tmp_path / "out"
+    result = CliRunner().invoke(main, [*args, "--out-dir", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    assert {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+        if p.name != "manifest.json"
+    } == expected
 
 
 def learned_digest(res):
