@@ -12,7 +12,7 @@ import functools
 import os
 import platform
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 import click
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
-    SandboxPlan,
+    SweepPlan,
     build_discrimination_plan,
     build_dispersal_plan,
     build_sandbox_plan,
@@ -30,7 +30,6 @@ from .config import (
 )
 from .experiments import SweepTask, aggregate, run_sweep
 from .ioutil import fmt, write_atomic, write_atomic_json
-from .networks import InfeasiblePartitionError
 from .popreward import (
     replication_identity_error,
     run_sandbox,
@@ -47,7 +46,7 @@ def _friendly_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, InfeasiblePartitionError) as exc:
+        except ConfigError as exc:
             raise click.UsageError(str(exc)) from exc
 
     return wrapper
@@ -64,7 +63,9 @@ def _resolve_out_dir(config_value: Optional[str], flag_value: Optional[Path]) ->
     return out
 
 
-def _parse_seed_list(text: str) -> list[int]:
+def _parse_seed_list(text: Optional[str]) -> Optional[list[int]]:
+    if text is None:
+        return None
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
@@ -142,6 +143,60 @@ def main():
     """Cooperation experiments for kin-related independent learners."""
 
 
+def _load(config_file: Path, experiment: str, overrides, **flags) -> dict:
+    """Load a config file of ``experiment``, set the flags given, and resolve it."""
+    data = load_config_file(config_file)
+    data.setdefault("experiment", experiment)
+    if data["experiment"] != experiment:
+        raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    return resolve_config(data, overrides)
+
+
+def _sweep(plan: SweepPlan, table: Callable[[dict], Mapping], labels: tuple[str, ...]):
+    """Run every (point, seed) of ``plan`` and aggregate each point's per-seed
+    ``table(payload)``. Returns the (point key, aggregate row) pairs sorted by
+    key and row key, and each run's meta, labelled by its point's key, in
+    config order."""
+    tasks = [SweepTask(key, config, seed) for key, config in plan.points for seed in plan.seeds]
+    results = run_sweep(tasks, _effective_jobs(plan.jobs))
+    rows, run_meta = [], []
+    for key, _ in plan.points:
+        payloads = [results[key][seed] for seed in plan.seeds]
+        rows += [(key, row) for row in aggregate([table(payload) for payload in payloads])]
+        run_meta += [{**dict(zip(labels, key)), **payload["meta"]} for payload in payloads]
+    rows.sort(key=lambda item: (item[0], item[1].key))
+    return rows, run_meta
+
+
+def _series(label: str, points) -> Series:
+    xs, ys = zip(*points)
+    return Series(label=label, xs=xs, ys=ys)
+
+
+def _write_sweep(
+    out_dir: Path, command: str, plan: SweepPlan, started: str,
+    header: list[str], csv_rows: list[list], run_meta: list[dict], chart: dict,
+) -> None:
+    """Write ``<command>.csv``, ``<command>_runs.json``, the chart (``line_chart``
+    keywords) as ``<command>.svg`` when the plan plots, and the manifest."""
+    csv_path = out_dir / f"{command}.csv"
+    with write_atomic(csv_path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(csv_rows)
+    meta_path = out_dir / f"{command}_runs.json"
+    write_atomic_json(meta_path, run_meta)
+    outputs = [csv_path, meta_path]
+    if plan.plot:
+        svg_path = out_dir / f"{command}.svg"
+        with write_atomic(svg_path) as handle:
+            handle.write(line_chart(**chart))
+        outputs.append(svg_path)
+    outputs.append(_write_manifest(out_dir, command, plan.resolved, plan.seeds, started, outputs))
+    click.echo(f"wrote {csv_path} ({len(csv_rows)} rows, {len(plan.seeds)} seeds)")
+
+
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @_with_shared_options
@@ -149,81 +204,31 @@ def main():
 def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
     """Opponent-discrimination experiment on a complete network."""
     started = _timestamp()
-    data = load_config_file(config_file)
-    data.setdefault("experiment", "discrimination")
-    if data["experiment"] != "discrimination":
-        raise ConfigError(
-            f"{config_file}: config declares experiment {data['experiment']!r}"
-        )
-    if seeds is not None:
-        data["seeds"] = _parse_seed_list(seeds)
-    if inclusive is not None:
-        data["inclusive"] = inclusive
-    if jobs is not None:
-        data["jobs"] = jobs
-    if plot is not None:
-        data["plot"] = plot
-    resolved = resolve_config(data, overrides)
+    resolved = _load(
+        config_file, "discrimination", overrides,
+        seeds=_parse_seed_list(seeds), inclusive=inclusive, jobs=jobs, plot=plot,
+    )
     plan = build_discrimination_plan(resolved)
     out = _resolve_out_dir(plan.out_dir, out_dir)
-
-    tasks = [
-        SweepTask((benefit,), plan.point_config(benefit), seed)
-        for benefit in plan.benefits
-        for seed in plan.seeds
-    ]
-    results = run_sweep(tasks, _effective_jobs(plan.jobs))
-
-    rows = []
-    run_meta = []
-    for benefit in plan.benefits:
-        per_seed = results[(benefit,)]
-        tables = [per_seed[s]["bins"] for s in plan.seeds]
-        c_over_b = plan.cost / benefit
-        for key, mean, se, n in aggregate(tables):
-            rows.append((c_over_b, key, mean, se, n))
-        for s in plan.seeds:
-            run_meta.append({"c_over_b": c_over_b, **per_seed[s]["meta"]})
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    csv_path = out / "discrimination.csv"
-    with write_atomic(csv_path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["c_over_b", "h", "coop_freq_mean", "coop_freq_se", "n_seeds"])
-        for c_over_b, h, mean, se, n in rows:
-            writer.writerow([fmt(c_over_b), fmt(h), fmt(mean), fmt(se), n])
-    outputs = [csv_path]
-
-    meta_path = out / "discrimination_runs.json"
-    write_atomic_json(meta_path, run_meta)
-    outputs.append(meta_path)
-
-    if plan.plot:
-        ratios = sorted({row[0] for row in rows})
-        series = []
-        for ratio in ratios:
-            pts = [(h, mean) for cb, h, mean, _, _ in rows if cb == ratio]
-            series.append(
-                Series(
-                    label=f"c/b={fmt(ratio)}",
-                    xs=tuple(p[0] for p in pts),
-                    ys=tuple(p[1] for p in pts),
+    rows, run_meta = _sweep(plan, lambda payload: payload["bins"], ("c_over_b",))
+    _write_sweep(
+        out, "discrimination", plan, started,
+        ["c_over_b", "h", "coop_freq_mean", "coop_freq_se", "n_seeds"],
+        [[fmt(cb), fmt(h), fmt(mean), fmt(se), n] for (cb,), (h, mean, se, n) in rows],
+        run_meta,
+        dict(
+            series=[
+                _series(
+                    f"c/b={fmt(ratio)}",
+                    [(h, mean) for (cb,), (h, mean, *_) in rows if cb == ratio],
                 )
-            )
-        svg_path = out / "discrimination.svg"
-        with write_atomic(svg_path) as handle:
-            handle.write(
-                line_chart(
-                    series,
-                    title="Cooperation frequency vs. opponent similarity",
-                    xlabel="Hamming similarity h",
-                    ylabel="cooperation frequency",
-                )
-            )
-        outputs.append(svg_path)
-
-    outputs.append(_write_manifest(out, "discrimination", resolved, plan.seeds, started, outputs))
-    click.echo(f"wrote {csv_path} ({len(rows)} rows, {len(plan.seeds)} seeds)")
+                for ratio in sorted({cb for (cb,), _ in rows})
+            ],
+            title="Cooperation frequency vs. opponent similarity",
+            xlabel="Hamming similarity h",
+            ylabel="cooperation frequency",
+        ),
+    )
 
 
 @main.command()
@@ -233,90 +238,39 @@ def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot
 def dispersal(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
     """Limited-dispersal experiment on random partition networks."""
     started = _timestamp()
-    data = load_config_file(config_file)
-    data.setdefault("experiment", "dispersal")
-    if data["experiment"] != "dispersal":
-        raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
-    if seeds is not None:
-        data["seeds"] = _parse_seed_list(seeds)
-    if inclusive is not None:
-        data["modes"] = ["inclusive"] if inclusive else ["baseline"]
-    if jobs is not None:
-        data["jobs"] = jobs
-    if plot is not None:
-        data["plot"] = plot
-    resolved = resolve_config(data, overrides)
+    resolved = _load(
+        config_file, "dispersal", overrides,
+        seeds=_parse_seed_list(seeds), jobs=jobs, plot=plot,
+        modes=None if inclusive is None else ["inclusive" if inclusive else "baseline"],
+    )
     plan = build_dispersal_plan(resolved)
     out = _resolve_out_dir(plan.out_dir, out_dir)
-
-    tasks = [
-        SweepTask((eta, boc, mode), plan.point_config(eta, boc, mode), seed)
-        for eta in plan.etas
-        for boc in plan.b_over_c
-        for mode in plan.modes
-        for seed in plan.seeds
-    ]
-    results = run_sweep(tasks, _effective_jobs(plan.jobs))
-
-    rows = []
-    run_meta = []
-    for eta in plan.etas:
-        for boc in plan.b_over_c:
-            for mode in plan.modes:
-                per_seed = results[(eta, boc, mode)]
-                values = [{"p": per_seed[s]["proportion"]} for s in plan.seeds]
-                (_, mean, se, n), = aggregate(values)
-                rows.append((eta, boc, mode == "inclusive", mean, se, n))
-                for s in plan.seeds:
-                    run_meta.append(
-                        {"eta": eta, "b_over_c": boc, "inclusive": mode == "inclusive",
-                         **per_seed[s]["meta"]}
-                    )
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    csv_path = out / "dispersal.csv"
-    with write_atomic(csv_path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["eta", "b_over_c", "inclusive", "coop_prop_mean", "coop_prop_se", "n_seeds"])
-        for eta, boc, incl, mean, se, n in rows:
-            writer.writerow([fmt(eta), fmt(boc), "true" if incl else "false", fmt(mean), fmt(se), n])
-    outputs = [csv_path]
-
-    meta_path = out / "dispersal_runs.json"
-    write_atomic_json(meta_path, run_meta)
-    outputs.append(meta_path)
-
-    if plan.plot:
-        series = []
-        for eta in plan.etas:
-            for mode in plan.modes:
-                pts = [
-                    (boc, mean)
-                    for (r_eta, boc, incl, mean, _, _) in rows
-                    if r_eta == eta and incl == (mode == "inclusive")
-                ]
-                suffix = "" if mode == "inclusive" else " (individual)"
-                series.append(
-                    Series(
-                        label=f"eta={fmt(eta)}{suffix}",
-                        xs=tuple(p[0] for p in pts),
-                        ys=tuple(p[1] for p in pts),
-                    )
+    rows, run_meta = _sweep(
+        plan, lambda payload: {"p": payload["proportion"]}, ("eta", "b_over_c", "inclusive")
+    )
+    # one series per (eta, mode) in config order, the order of the points
+    lines = dict.fromkeys((eta, incl) for (eta, _, incl), _ in plan.points)
+    _write_sweep(
+        out, "dispersal", plan, started,
+        ["eta", "b_over_c", "inclusive", "coop_prop_mean", "coop_prop_se", "n_seeds"],
+        [
+            [fmt(eta), fmt(boc), "true" if incl else "false", fmt(mean), fmt(se), n]
+            for (eta, boc, incl), (_, mean, se, n) in rows
+        ],
+        run_meta,
+        dict(
+            series=[
+                _series(
+                    f"eta={fmt(eta)}{'' if incl else ' (individual)'}",
+                    [(boc, mean) for (e, boc, i), (_, mean, *_) in rows if (e, i) == (eta, incl)],
                 )
-        svg_path = out / "dispersal.svg"
-        with write_atomic(svg_path) as handle:
-            handle.write(
-                line_chart(
-                    series,
-                    title="Cooperator proportion vs. benefit-to-cost ratio",
-                    xlabel="b/c",
-                    ylabel="proportion of cooperators",
-                )
-            )
-        outputs.append(svg_path)
-
-    outputs.append(_write_manifest(out, "dispersal", resolved, plan.seeds, started, outputs))
-    click.echo(f"wrote {csv_path} ({len(rows)} rows, {len(plan.seeds)} seeds)")
+                for eta, incl in lines
+            ],
+            title="Cooperator proportion vs. benefit-to-cost ratio",
+            xlabel="b/c",
+            ylabel="proportion of cooperators",
+        ),
+    )
 
 
 IDENTITY_TOLERANCE = 1e-9
@@ -332,12 +286,7 @@ IDENTITY_TOLERANCE = 1e-9
 def sandbox(config_file, overrides, out_dir):
     """Birth/death sandbox generating population-reward traces."""
     started = _timestamp()
-    data = load_config_file(config_file)
-    data.setdefault("experiment", "sandbox")
-    if data["experiment"] != "sandbox":
-        raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
-    resolved = resolve_config(data, overrides)
-    plan: SandboxPlan = build_sandbox_plan(resolved)
+    plan = build_sandbox_plan(_load(config_file, "sandbox", overrides))
     out = _resolve_out_dir(plan.out_dir, out_dir)
 
     trace = run_sandbox(plan.sandbox, np.random.default_rng(plan.seed))
@@ -356,7 +305,7 @@ def sandbox(config_file, overrides, out_dir):
     with write_atomic(rewards_path, newline="") as handle:
         write_rewards_csv(trace, handle)
     outputs = [trace_path, rewards_path]
-    outputs.append(_write_manifest(out, "sandbox", resolved, [plan.seed], started, outputs))
+    outputs.append(_write_manifest(out, "sandbox", plan.resolved, [plan.seed], started, outputs))
     click.echo(f"identity check PASS: max |replication - delta combined| = {worst:.3g}")
 
 

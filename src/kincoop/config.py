@@ -3,8 +3,10 @@
 A config is a single YAML mapping whose key tree mirrors the experiment
 parameters; every key has a default, so a file may be as short as
 ``experiment: discrimination``. Flat ``key.path=value`` overrides are
-merged on top. Unknown keys are rejected with their full path, and every
-validation message names the offending key.
+merged on top. Unknown keys are rejected with their full path, under
+``policy`` too (where every policy kind's keys are known), as is a value
+that is not a mapping where the defaults hold one; every validation
+message names the offending key.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import yaml
 
@@ -22,7 +24,7 @@ from .experiments import ExperimentConfig
 from .games import DilemmaParams
 from .genotype import Genotype, GenotypeSpace, MutationSpec
 from .learning import LearnerConfig
-from .networks import InfeasiblePartitionError, PartitionSpec, derive_partition_probs
+from .networks import PartitionSpec
 from .popreward import (
     AlwaysReproducePolicy,
     IdlePolicy,
@@ -101,8 +103,11 @@ DEFAULTS_BY_EXPERIMENT = {
     "sandbox": SANDBOX_DEFAULTS,
 }
 
-# keys whose subtrees are validated by their builders, not by template shape
-_FREEFORM_KEYS = {"policy", "learner"}
+# A policy reads only its own kind's keys, so its subtree may name any of
+# these, and only the default policy's keys are filled in.
+_POLICY_KEYS = (
+    "kind", "p", "min_health", "reward", "alpha", "epsilon0", "decay", "epsilon_min", "q_init",
+)
 
 
 def load_config_file(path: Path) -> dict:
@@ -151,22 +156,15 @@ def merge_with_defaults(user: dict, defaults: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            known = ", ".join(sorted(defaults))
-            raise ConfigError(f"unknown config key {where!r} (known: {known})")
-        if (
-            isinstance(value, dict)
-            and isinstance(defaults[key], dict)
-            and key not in _FREEFORM_KEYS
-        ):
-            merged[key] = merge_with_defaults(value, defaults[key], where)
-        elif isinstance(defaults[key], dict) and key in _FREEFORM_KEYS and isinstance(value, dict):
-            # freeform subtrees replace defaults key-by-key without shape checks
-            sub = dict(defaults[key])
-            sub.update(value)
-            merged[key] = sub
-        else:
+        known = _POLICY_KEYS if path == "policy" else defaults
+        if key not in known:
+            raise ConfigError(f"unknown config key {where!r} (known: {', '.join(sorted(known))})")
+        if not isinstance(defaults.get(key), dict):
             merged[key] = value
+        elif not isinstance(value, dict):
+            raise ConfigError(f"{where}: expected a mapping, got {value!r}")
+        else:
+            merged[key] = merge_with_defaults(value, defaults[key], where)
     return merged
 
 
@@ -251,19 +249,13 @@ def _build_space(data: dict) -> GenotypeSpace:
 
 def _build_learner(data: dict) -> LearnerConfig:
     raw = data["learner"]
-    known = set(_LEARNER_DEFAULTS)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"learner: unknown keys {sorted(unknown)} (known: {sorted(known)})")
-    merged = dict(_LEARNER_DEFAULTS)
-    merged.update(raw)
     try:
         return LearnerConfig(
-            alpha=_as_float(merged["alpha"], "learner.alpha"),
-            epsilon0=_as_float(merged["epsilon0"], "learner.epsilon0"),
-            decay=None if merged["decay"] is None else _as_float(merged["decay"], "learner.decay"),
-            epsilon_min=_as_float(merged["epsilon_min"], "learner.epsilon_min"),
-            q_init=_as_float(merged["q_init"], "learner.q_init"),
+            alpha=_as_float(raw["alpha"], "learner.alpha"),
+            epsilon0=_as_float(raw["epsilon0"], "learner.epsilon0"),
+            decay=None if raw["decay"] is None else _as_float(raw["decay"], "learner.decay"),
+            epsilon_min=_as_float(raw["epsilon_min"], "learner.epsilon_min"),
+            q_init=_as_float(raw["q_init"], "learner.q_init"),
         )
     except ValueError as exc:
         raise ConfigError(f"learner: {exc}") from exc
@@ -274,73 +266,15 @@ def _build_learner(data: dict) -> LearnerConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DiscriminationPlan:
-    space: GenotypeSpace
-    cost: float
-    benefits: tuple[float, ...]
-    learner: LearnerConfig
-    steps_max: int
-    window: int
-    inclusive: bool
-    self_play: bool
+class SweepPlan:
+    """A network sweep: each point's CSV key and config, in config order."""
+
+    points: tuple[tuple[tuple, ExperimentConfig], ...]
     seeds: tuple[int, ...]
     jobs: int
     plot: bool
     out_dir: Optional[str]
     resolved: dict
-
-    def point_config(self, benefit: float) -> ExperimentConfig:
-        return ExperimentConfig(
-            kind="discrimination",
-            space=self.space,
-            dilemma=DilemmaParams(benefit=benefit, cost=self.cost),
-            learner=self.learner,
-            steps_max=self.steps_max,
-            window=self.window,
-            inclusive=self.inclusive,
-            self_play=self.self_play,
-        )
-
-
-@dataclass(frozen=True)
-class DispersalPlan:
-    space: GenotypeSpace
-    cost: float
-    b_over_c: tuple[float, ...]
-    etas: tuple[float, ...]
-    community_size: int
-    k_avg: float
-    modes: tuple[str, ...]
-    edge_sampling: bool
-    learner: LearnerConfig
-    steps_max: int
-    window: int
-    seeds: tuple[int, ...]
-    jobs: int
-    plot: bool
-    out_dir: Optional[str]
-    resolved: dict
-
-    def partition_spec(self, eta: float) -> PartitionSpec:
-        return PartitionSpec(
-            community_size=self.community_size,
-            community_count=self.space.size,
-            k_avg=self.k_avg,
-            eta=eta,
-        )
-
-    def point_config(self, eta: float, b_over_c: float, mode: str) -> ExperimentConfig:
-        return ExperimentConfig(
-            kind="dispersal",
-            space=self.space,
-            dilemma=DilemmaParams(benefit=b_over_c * self.cost, cost=self.cost),
-            learner=self.learner,
-            steps_max=self.steps_max,
-            window=self.window,
-            inclusive=(mode == "inclusive"),
-            partition=self.partition_spec(eta),
-            edge_sampling=self.edge_sampling,
-        )
 
 
 @dataclass(frozen=True)
@@ -351,38 +285,62 @@ class SandboxPlan:
     resolved: dict
 
 
-def build_discrimination_plan(resolved: dict) -> DiscriminationPlan:
-    space = _build_space(resolved)
-    cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
-    benefits = _as_number_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
-    steps_max = _as_int(resolved["steps_max"], "steps_max")
-    window = _as_int(resolved["window"], "window")
-    plan = DiscriminationPlan(
-        space=space,
-        cost=cost,
-        benefits=benefits,
+def _shared_fields(resolved: dict) -> dict:
+    """The ``ExperimentConfig`` fields that every point of a sweep shares."""
+    return dict(
+        space=_build_space(resolved),
         learner=_build_learner(resolved),
-        steps_max=steps_max,
-        window=window,
-        inclusive=_as_bool(resolved["inclusive"], "inclusive"),
-        self_play=_as_bool(resolved["self_play"], "self_play"),
+        steps_max=_as_int(resolved["steps_max"], "steps_max"),
+        window=_as_int(resolved["window"], "window"),
+    )
+
+
+def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]) -> SweepPlan:
+    """Build every point (a lazy ``points`` builds inside the ``try``), check
+    that each can run before any does, and read the sweep-wide keys."""
+    try:
+        points = tuple(points)
+        for _, config in points:
+            config.validate_feasible()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return SweepPlan(
+        points=points,
         seeds=_as_int_list(resolved["seeds"], "seeds"),
         jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
         out_dir=resolved["out_dir"],
         resolved=resolved,
     )
-    # construct one point to surface dilemma/step validation errors now
-    try:
-        for b in plan.benefits:
-            plan.point_config(b).validate_feasible()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+
+
+def build_discrimination_plan(resolved: dict) -> SweepPlan:
+    """One point per benefit, keyed ``(c_over_b,)``."""
+    shared = _shared_fields(resolved)
+    cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
+    benefits = _as_number_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
+    inclusive = _as_bool(resolved["inclusive"], "inclusive")
+    self_play = _as_bool(resolved["self_play"], "self_play")
+    configs = (
+        ExperimentConfig(
+            kind="discrimination",
+            dilemma=DilemmaParams(benefit=benefit, cost=cost),
+            inclusive=inclusive,
+            self_play=self_play,
+            **shared,
+        )
+        for benefit in benefits
+    )
+    # each ratio is taken once its dilemma has checked b > c > 0
+    plan = _sweep_plan(resolved, (((c.dilemma.cost / c.dilemma.benefit,), c) for c in configs))
+    # the ratio keys the results, so two benefits must not round to one ratio
+    _distinct(tuple(c_over_b for (c_over_b,), _ in plan.points), "dilemma.benefits (as c/b)")
     return plan
 
 
-def build_dispersal_plan(resolved: dict) -> DispersalPlan:
-    space = _build_space(resolved)
+def build_dispersal_plan(resolved: dict) -> SweepPlan:
+    """Points keyed ``(eta, b_over_c, inclusive)``, over etas, then b/c, then modes."""
+    shared = _shared_fields(resolved)
     modes_raw = resolved["modes"]
     if not isinstance(modes_raw, (list, tuple)) or not modes_raw:
         raise ConfigError("modes: expected a non-empty list")
@@ -391,37 +349,25 @@ def build_dispersal_plan(resolved: dict) -> DispersalPlan:
         if mode not in ("inclusive", "baseline"):
             raise ConfigError(f"modes: entries must be 'inclusive' or 'baseline', got {mode!r}")
     _distinct(modes, "modes")
-    plan = DispersalPlan(
-        space=space,
-        cost=_as_float(resolved["dilemma"]["cost"], "dilemma.cost"),
-        b_over_c=_as_number_list(resolved["dilemma"]["b_over_c"], "dilemma.b_over_c"),
-        etas=_as_number_list(resolved["partition"]["etas"], "partition.etas"),
-        community_size=_as_int(resolved["partition"]["community_size"], "partition.community_size"),
-        k_avg=_as_float(resolved["partition"]["k_avg"], "partition.k_avg"),
-        modes=modes,
-        edge_sampling=_as_bool(resolved["edge_sampling"], "edge_sampling"),
-        learner=_build_learner(resolved),
-        steps_max=_as_int(resolved["steps_max"], "steps_max"),
-        window=_as_int(resolved["window"], "window"),
-        seeds=_as_int_list(resolved["seeds"], "seeds"),
-        jobs=_as_jobs(resolved["jobs"]),
-        plot=_as_bool(resolved["plot"], "plot"),
-        out_dir=resolved["out_dir"],
-        resolved=resolved,
-    )
-    # feasibility first: an infeasible eta must be reported before any run
-    try:
-        for eta in plan.etas:
-            derive_partition_probs(plan.partition_spec(eta))
-        for eta in plan.etas:
-            for boc in plan.b_over_c:
-                for mode in plan.modes:
-                    plan.point_config(eta, boc, mode)
-    except InfeasiblePartitionError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return plan
+    cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
+    b_over_c = _as_number_list(resolved["dilemma"]["b_over_c"], "dilemma.b_over_c")
+    etas = _as_number_list(resolved["partition"]["etas"], "partition.etas")
+    community_size = _as_int(resolved["partition"]["community_size"], "partition.community_size")
+    k_avg = _as_float(resolved["partition"]["k_avg"], "partition.k_avg")
+    edge_sampling = _as_bool(resolved["edge_sampling"], "edge_sampling")
+    return _sweep_plan(resolved, (
+        ((eta, boc, mode == "inclusive"), ExperimentConfig(
+            kind="dispersal",
+            dilemma=DilemmaParams(benefit=boc * cost, cost=cost),
+            inclusive=(mode == "inclusive"),
+            partition=PartitionSpec(community_size, shared["space"].size, k_avg, eta),
+            edge_sampling=edge_sampling,
+            **shared,
+        ))
+        for eta in etas
+        for boc in b_over_c
+        for mode in modes
+    ))
 
 
 _POLICY_KINDS = ("idle", "always", "random", "threshold", "q")

@@ -7,8 +7,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import kincoop.cli
 from kincoop.cli import main
 from kincoop.ioutil import write_atomic
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DISC_CFG = {
     "experiment": "discrimination",
@@ -483,13 +486,16 @@ class TestRejectedSweeps:
             (DISC_CFG, ["--seeds", "1,1"], "seeds"),
             # wrote every (c_over_b, h) row twice
             (DISC_CFG, ["-s", "dilemma.benefits=[4,4.0]"], "dilemma.benefits"),
+            # two benefits, one c/b ratio: the ratio keys the sweep's results
+            (DISC_CFG, ["-s", "dilemma.benefits=[3.0000000000000004,3.000000000000001]"],
+             "dilemma.benefits"),
             (DISP_CFG, ["-s", "partition.etas=[0.1,0.1]"], "partition.etas"),
             (DISP_CFG, ["-s", "dilemma.b_over_c=[8,8]"], "dilemma.b_over_c"),
             (DISP_CFG, ["-s", "modes=[baseline,baseline]"], "modes"),
             # was read as "all cores"
             (DISC_CFG, ["--jobs", "-3"], "jobs"),
         ],
-        ids=["seeds", "benefits", "etas", "b-over-c", "modes", "negative-jobs"],
+        ids=["seeds", "benefits", "c-over-b", "etas", "b-over-c", "modes", "negative-jobs"],
     )
     def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, key):
         write_cfg(tmp_path / "c.yaml", cfg)
@@ -500,3 +506,97 @@ class TestRejectedSweeps:
         assert result.exit_code == 2, result.output
         assert key in result.output
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestRejectedKeys:
+    """Values that crashed with a traceback, or that a run silently ignored,
+    stop at exit 2 with a message naming the key."""
+
+    @pytest.mark.parametrize(
+        "cfg,override",
+        [
+            (DISC_CFG, "learner=null"),
+            (DISC_CFG, "genotype=3"),
+            (DISC_CFG, "dilemma=null"),
+            (DISP_CFG, "partition=7"),
+            (SAND_CFG, "mutation=null"),
+            (SAND_CFG, "policy=null"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value["experiment"],
+    )
+    def test_non_mapping_value_for_mapping_key(self, runner, tmp_path, cfg, override):
+        write_cfg(tmp_path / "c.yaml", cfg)
+        result = runner.invoke(main, ["validate", str(tmp_path / "c.yaml"), "-s", override])
+        assert result.exit_code == 2, result.output
+        key, _, value = override.partition("=")
+        assert f"{key}: expected a mapping, got {yaml.safe_load(value)!r}" in result.output
+
+    @pytest.mark.parametrize(
+        "config,overrides,key",
+        [
+            # was accepted, and the run used the default alpha of 0.1
+            ("sandbox.yaml", ["policy.kind=q", "policy.alpah=0.5"], "policy.alpah"),
+            ("discrimination.yaml", ["learner.alphaa=0.5"], "learner.alphaa"),
+        ],
+        ids=["policy", "learner"],
+    )
+    def test_unknown_nested_key(self, runner, config, overrides, key):
+        args = ["validate", str(CONFIGS / config)]
+        for override in overrides:
+            args += ["-s", override]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"unknown config key {key!r}" in result.output
+
+    @pytest.mark.parametrize("override", ["dilemma.benefits=[0,4]", "dilemma.cost=0"])
+    def test_dilemma_checked_before_its_ratio(self, runner, override):
+        # c/b of a zero benefit divides by zero; of a zero cost, repeats 0.0
+        result = runner.invoke(
+            main, ["validate", str(CONFIGS / "discrimination.yaml"), "-s", override]
+        )
+        assert result.exit_code == 2, result.output
+        assert "need benefit > cost > 0 for a dilemma" in result.output
+
+    def test_key_of_another_policy_kind_passes(self, runner):
+        # the shipped file's p belongs to the random policy; a q policy ignores it
+        result = runner.invoke(
+            main, ["validate", str(CONFIGS / "sandbox.yaml"), "-s", "policy.kind=q"]
+        )
+        assert result.exit_code == 0, result.output
+
+
+class TestProbedNames:
+    """The sweep commands call, at call time, the ``kincoop.cli`` names that
+    perfbench's probes replace, so the per-layer metrics see every call."""
+
+    NAMES = (
+        "build_discrimination_plan", "build_dispersal_plan", "run_sweep", "line_chart",
+        "write_atomic_json",
+    )
+
+    @pytest.mark.parametrize("cfg", [DISC_CFG, DISP_CFG], ids=["discrimination", "dispersal"])
+    def test_sweep_calls_each_probed_name(self, runner, tmp_path, monkeypatch, cfg):
+        calls = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(kincoop.cli, name, counting(name, getattr(kincoop.cli, name)))
+        write_cfg(tmp_path / "c.yaml", {**cfg, "seeds": [1], "plot": True})
+        result = runner.invoke(
+            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 0, result.output
+        other = "dispersal" if cfg["experiment"] == "discrimination" else "discrimination"
+        assert calls == {
+            f"build_{cfg['experiment']}_plan": 1,
+            f"build_{other}_plan": 0,
+            "run_sweep": 1,
+            "line_chart": 1,
+            # the runs sidecar, then the manifest
+            "write_atomic_json": 2,
+        }

@@ -23,6 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from kincoop.cli import main
+from kincoop.config import config_hash, load_config_file, resolve_config
 from kincoop.experiments import (
     ExperimentConfig,
     run_discrimination,
@@ -220,6 +221,25 @@ def test_output_digests(case, tmp_path):
         for p in sorted(out_dir.iterdir())
         if p.name != "manifest.json"
     } == expected
+
+
+# config_hash of shipped configs, recorded before unknown policy keys were
+# rejected and the learner subtree was merged like every other mapping
+CONFIG_HASHES = {
+    ("discrimination.yaml", ()): "20c771df0cf883d1c6b0de2567e452f4d18e0e0a7932893770dcb705b1839308",
+    ("dispersal.yaml", ()): "43d4e309efa38c75f6c4649462f64d6c83d00015e966caeb76c6463ad39d70cf",
+    ("sandbox.yaml", ()): "2589b5048c96204e1855fa73c9d72d7b15727aea7844e074316b9fe9a718b905",
+    ("sandbox.yaml", ("policy.kind=q", "policy.alpha=0.5", "policy.reward=longevity")):
+        "053340f96a22173fc5bc4b0767d2f516c5814e3a47e39678cc33a303dc44fa6f",
+    ("discrimination.yaml", ("learner.alpha=0.5", "learner.decay=0.99")):
+        "c87e3cd99769cd35e3c657c1abc054d2331ced2dad9d842be414528ccfa01477",
+}
+
+
+@pytest.mark.parametrize("name,overrides", sorted(CONFIG_HASHES), ids=str)
+def test_config_hashes(name, overrides):
+    resolved = resolve_config(load_config_file(CONFIGS / name), overrides)
+    assert config_hash(resolved) == CONFIG_HASHES[name, overrides]
 
 
 def learned_digest(res):
