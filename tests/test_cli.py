@@ -565,6 +565,202 @@ class TestRejectedKeys:
         assert result.exit_code == 0, result.output
 
 
+# Exit code and last output line of ``kincoop validate <shipped config> -s ...``
+# for one bad value per key: a wrong type, and where the key has a range, a
+# value outside it. Every policy key is tried under every policy kind.
+VALIDATE_TABLE = [
+    ('discrimination.yaml', 'experiment=x', 0,
+     'OK: valid discrimination configuration (hash f036f879fcfb)'),
+    ('discrimination.yaml', 'seeds=x', 2, 'Error: seeds: expected a non-empty list of integers'),
+    ('discrimination.yaml', 'seeds=[]', 2, 'Error: seeds: expected a non-empty list of integers'),
+    ('discrimination.yaml', 'steps_max=x', 2, "Error: steps_max: expected an integer, got 'x'"),
+    ('discrimination.yaml', 'steps_max=0', 2, 'Error: need steps_max > window > 0'),
+    ('discrimination.yaml', 'window=x', 2, "Error: window: expected an integer, got 'x'"),
+    ('discrimination.yaml', 'window=0', 2, 'Error: need steps_max > window > 0'),
+    ('discrimination.yaml', 'genotype.loci=x', 2,
+     "Error: genotype.loci: expected an integer, got 'x'"),
+    ('discrimination.yaml', 'genotype.loci=0', 2, 'Error: genotype: loci must be >= 1'),
+    ('discrimination.yaml', 'genotype.loci=11', 2,
+     'Error: complete network over 2048 genotypes exceeds the 1024-agent limit'),
+    ('discrimination.yaml', 'genotype.variants=x', 2,
+     "Error: genotype.variants: expected an integer, got 'x'"),
+    ('discrimination.yaml', 'genotype.variants=1', 2, 'Error: genotype: variants must be >= 2'),
+    ('discrimination.yaml', 'dilemma.cost=x', 2,
+     "Error: dilemma.cost: expected a number, got 'x'"),
+    ('discrimination.yaml', 'dilemma.cost=-1', 2,
+     'Error: need benefit > cost > 0 for a dilemma, got b=4.0, c=-1.0'),
+    ('discrimination.yaml', 'dilemma.benefits=x', 2,
+     'Error: dilemma.benefits: expected a non-empty list of numbers'),
+    ('discrimination.yaml', 'dilemma.benefits=[0.5]', 2,
+     'Error: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
+    ('discrimination.yaml', 'inclusive=x', 2, "Error: inclusive: expected true/false, got 'x'"),
+    ('discrimination.yaml', 'self_play=x', 2, "Error: self_play: expected true/false, got 'x'"),
+    ('discrimination.yaml', 'learner.alpha=x', 2,
+     "Error: learner.alpha: expected a number, got 'x'"),
+    ('discrimination.yaml', 'learner.alpha=0', 2, 'Error: learner: alpha must be in (0, 1]'),
+    ('discrimination.yaml', 'learner.epsilon0=x', 2,
+     "Error: learner.epsilon0: expected a number, got 'x'"),
+    ('discrimination.yaml', 'learner.epsilon0=2', 2, 'Error: learner: epsilon0 must be in [0, 1]'),
+    ('discrimination.yaml', 'learner.decay=x', 2,
+     "Error: learner.decay: expected a number, got 'x'"),
+    ('discrimination.yaml', 'learner.decay=0', 2, 'Error: learner: decay must be in (0, 1]'),
+    ('discrimination.yaml', 'learner.epsilon_min=x', 2,
+     "Error: learner.epsilon_min: expected a number, got 'x'"),
+    ('discrimination.yaml', 'learner.epsilon_min=2', 2,
+     'Error: learner: epsilon_min must be in [0, epsilon0]'),
+    ('discrimination.yaml', 'learner.q_init=x', 2,
+     "Error: learner.q_init: expected a number, got 'x'"),
+    ('discrimination.yaml', 'jobs=x', 2, "Error: jobs: expected an integer, got 'x'"),
+    ('discrimination.yaml', 'jobs=-1', 2,
+     'Error: jobs: expected 0 (all cores) or a positive count, got -1'),
+    ('discrimination.yaml', 'plot=x', 2, "Error: plot: expected true/false, got 'x'"),
+    ('dispersal.yaml', 'partition.community_size=x', 2,
+     "Error: partition.community_size: expected an integer, got 'x'"),
+    ('dispersal.yaml', 'partition.community_size=1', 2, 'Error: community_size must be >= 2'),
+    ('dispersal.yaml', 'partition.k_avg=x', 2,
+     "Error: partition.k_avg: expected a number, got 'x'"),
+    ('dispersal.yaml', 'partition.k_avg=0', 2, 'Error: k_avg must be > 0'),
+    ('dispersal.yaml', 'partition.etas=x', 2,
+     'Error: partition.etas: expected a non-empty list of numbers'),
+    ('dispersal.yaml', 'partition.etas=[0]', 2, 'Error: eta must be in (0, 1], got 0.0'),
+    ('dispersal.yaml', 'partition.etas=[0.001]', 2,
+     'Error: eta=0.001 is infeasible for k_avg=9.0: it requires p_in=1.27551 > 1; the minimal feasible eta is 0.0357143'),
+    ('dispersal.yaml', 'dilemma.b_over_c=x', 2,
+     'Error: dilemma.b_over_c: expected a non-empty list of numbers'),
+    ('dispersal.yaml', 'dilemma.b_over_c=[0.5]', 2,
+     'Error: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
+    ('dispersal.yaml', 'modes=x', 2, 'Error: modes: expected a non-empty list'),
+    ('dispersal.yaml', 'modes=[other]', 2,
+     "Error: modes: entries must be 'inclusive' or 'baseline', got 'other'"),
+    ('dispersal.yaml', 'edge_sampling=x', 2, "Error: edge_sampling: expected true/false, got 'x'"),
+    ('sandbox.yaml', 'seed=x', 2, "Error: seed: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'steps=x', 2, "Error: steps: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'steps=-1', 2, 'Error: steps must be >= 0'),
+    ('sandbox.yaml', 'genotype.loci=x', 2, "Error: genotype.loci: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'genotype.loci=2', 2,
+     'Error: initial genotype must belong to the genotype space'),
+    ('sandbox.yaml', 'genotype.variants=x', 2,
+     "Error: genotype.variants: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'genotype.variants=1', 2, 'Error: genotype: variants must be >= 2'),
+    ('sandbox.yaml', 'initial_genotype=x', 2,
+     "Error: initial_genotype: malformed genotype string 'x'"),
+    ('sandbox.yaml', 'initial_genotype=0-0-0-9', 2,
+     'Error: initial genotype must belong to the genotype space'),
+    ('sandbox.yaml', 'mutation.mu=x', 2, "Error: mutation.mu: expected a number, got 'x'"),
+    ('sandbox.yaml', 'mutation.mu=1.5', 2,
+     'Error: mutation.mu: mutation probability must be in [0, 1], got 1.5'),
+    ('sandbox.yaml', 'initial_health=x', 2, "Error: initial_health: expected a number, got 'x'"),
+    ('sandbox.yaml', 'initial_health=0', 2, 'Error: initial_health must be > 0'),
+    ('sandbox.yaml', 'food_rate=x', 2, "Error: food_rate: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'food_rate=-1', 2, 'Error: food_rate must be >= 0'),
+    ('sandbox.yaml', 'policy.kind=x', 2,
+     "Error: policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.p=x', 0,
+     'OK: valid sandbox configuration (hash 543859da73e2)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.min_health=x', 0,
+     'OK: valid sandbox configuration (hash 63fc005db0cc)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.reward=3', 0,
+     'OK: valid sandbox configuration (hash 05f3e58f5b61)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.alpha=x', 0,
+     'OK: valid sandbox configuration (hash 943df58974c8)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.epsilon0=x', 0,
+     'OK: valid sandbox configuration (hash dc834b4af26c)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.decay=x', 0,
+     'OK: valid sandbox configuration (hash badfb61fed46)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.epsilon_min=x', 0,
+     'OK: valid sandbox configuration (hash d68fa1673709)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.q_init=x', 0,
+     'OK: valid sandbox configuration (hash 8f90ff986b85)'),
+    ('sandbox.yaml', 'policy.kind=always policy.p=x', 0,
+     'OK: valid sandbox configuration (hash 8df3f8d4aa26)'),
+    ('sandbox.yaml', 'policy.kind=always policy.min_health=x', 0,
+     'OK: valid sandbox configuration (hash 5ae5791e17b9)'),
+    ('sandbox.yaml', 'policy.kind=always policy.reward=3', 0,
+     'OK: valid sandbox configuration (hash eb67817ce0dc)'),
+    ('sandbox.yaml', 'policy.kind=always policy.alpha=x', 0,
+     'OK: valid sandbox configuration (hash 32910e9ff63c)'),
+    ('sandbox.yaml', 'policy.kind=always policy.epsilon0=x', 0,
+     'OK: valid sandbox configuration (hash 758ffb3b3f95)'),
+    ('sandbox.yaml', 'policy.kind=always policy.decay=x', 0,
+     'OK: valid sandbox configuration (hash 318916c987c2)'),
+    ('sandbox.yaml', 'policy.kind=always policy.epsilon_min=x', 0,
+     'OK: valid sandbox configuration (hash 4c06305820e3)'),
+    ('sandbox.yaml', 'policy.kind=always policy.q_init=x', 0,
+     'OK: valid sandbox configuration (hash 11c50a08bf77)'),
+    ('sandbox.yaml', 'policy.kind=random policy.p=x', 2,
+     "Error: policy.p: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.min_health=x', 0,
+     'OK: valid sandbox configuration (hash 98f5cd059da9)'),
+    ('sandbox.yaml', 'policy.kind=random policy.reward=3', 0,
+     'OK: valid sandbox configuration (hash 7c0924fcfce2)'),
+    ('sandbox.yaml', 'policy.kind=random policy.alpha=x', 0,
+     'OK: valid sandbox configuration (hash 278cc73a6681)'),
+    ('sandbox.yaml', 'policy.kind=random policy.epsilon0=x', 0,
+     'OK: valid sandbox configuration (hash 3aa5045837ca)'),
+    ('sandbox.yaml', 'policy.kind=random policy.decay=x', 0,
+     'OK: valid sandbox configuration (hash c5861e09f126)'),
+    ('sandbox.yaml', 'policy.kind=random policy.epsilon_min=x', 0,
+     'OK: valid sandbox configuration (hash 3af7bb258f4d)'),
+    ('sandbox.yaml', 'policy.kind=random policy.q_init=x', 0,
+     'OK: valid sandbox configuration (hash 70472c968181)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.p=x', 0,
+     'OK: valid sandbox configuration (hash 6a69a24dbc89)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.min_health=x', 2,
+     "Error: policy.min_health: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.reward=3', 0,
+     'OK: valid sandbox configuration (hash d5edea9c62eb)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.alpha=x', 0,
+     'OK: valid sandbox configuration (hash 52e61016b518)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon0=x', 0,
+     'OK: valid sandbox configuration (hash 1dbd3fd38857)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.decay=x', 0,
+     'OK: valid sandbox configuration (hash 84129a82f654)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon_min=x', 0,
+     'OK: valid sandbox configuration (hash e25f3420902a)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.q_init=x', 0,
+     'OK: valid sandbox configuration (hash 99919801adb1)'),
+    ('sandbox.yaml', 'policy.kind=q policy.p=x', 0,
+     'OK: valid sandbox configuration (hash f2fdb69cb6ad)'),
+    ('sandbox.yaml', 'policy.kind=q policy.min_health=x', 0,
+     'OK: valid sandbox configuration (hash ca92cf5e1a0b)'),
+    ('sandbox.yaml', 'policy.kind=q policy.reward=3', 2,
+     "Error: policy: reward_kind must be one of ('longevity', 'replication', 'combined')"),
+    ('sandbox.yaml', 'policy.kind=q policy.alpha=x', 2,
+     "Error: policy.alpha: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.epsilon0=x', 2,
+     "Error: policy.epsilon0: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.decay=x', 2,
+     "Error: policy.decay: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.epsilon_min=x', 2,
+     "Error: policy.epsilon_min: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.q_init=x', 2,
+     "Error: policy.q_init: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.p=2', 2, 'Error: policy: p must be in [0, 1]'),
+    ('sandbox.yaml', 'policy.kind=q policy.reward=x', 2,
+     "Error: policy: reward_kind must be one of ('longevity', 'replication', 'combined')"),
+    ('sandbox.yaml', 'policy.kind=q policy.alpha=0', 2, 'Error: policy: alpha must be in (0, 1]'),
+    ('sandbox.yaml', 'policy.kind=q policy.epsilon0=2', 2,
+     'Error: policy: epsilon0 must be in [0, 1]'),
+    ('sandbox.yaml', 'policy.kind=q policy.decay=0', 2, 'Error: policy: decay must be in (0, 1]'),
+    ('sandbox.yaml', 'policy.kind=q policy.decay=null', 2,
+     'Error: policy.decay: expected a number, got None'),
+    ('sandbox.yaml', 'policy.kind=q policy.epsilon_min=2', 2,
+     'Error: policy: epsilon_min must be in [0, epsilon0]'),
+]
+
+
+@pytest.mark.parametrize(
+    "config,overrides,exit_code,last_line", VALIDATE_TABLE,
+    ids=[f"{config.split('.')[0]}:{overrides}" for config, overrides, *_ in VALIDATE_TABLE],
+)
+def test_validate_table(runner, config, overrides, exit_code, last_line):
+    args = ["validate", str(CONFIGS / config)]
+    for override in overrides.split():
+        args += ["-s", override]
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output.strip().splitlines()[-1]) == (exit_code, last_line)
+
+
 class TestProbedNames:
     """The sweep commands call, at call time, the ``kincoop.cli`` names that
     perfbench's probes replace, so the per-layer metrics see every call."""
