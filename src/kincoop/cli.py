@@ -104,15 +104,17 @@ def _write_manifest(
     return manifest_path
 
 
+_set_option = click.option(
+    "--set", "-s", "overrides", multiple=True, metavar="KEY=VALUE",
+    help="Override a config key by dotted path, e.g. -s learner.alpha=0.2",
+)
+_out_dir_option = click.option(
+    "--out-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
+    help=f"Output directory (default: config, then ${OUT_DIR_ENV}, then '.')",
+)
+# the sweep commands' options; sandbox takes only -s and --out-dir, validate -s
 _shared_options = [
-    click.option(
-        "--set",
-        "-s",
-        "overrides",
-        multiple=True,
-        metavar="KEY=VALUE",
-        help="Override a config key by dotted path, e.g. -s learner.alpha=0.2",
-    ),
+    _set_option,
     click.option("--seeds", default=None, help="Comma-separated seed list, e.g. 1,2,3"),
     click.option(
         "--inclusive",
@@ -120,12 +122,7 @@ _shared_options = [
         default=None,
         help="Run with (true) or without (false) relatedness-weighted rewards",
     ),
-    click.option(
-        "--out-dir",
-        type=click.Path(file_okay=False, path_type=Path),
-        default=None,
-        help=f"Output directory (default: config, then ${OUT_DIR_ENV}, then '.')",
-    ),
+    _out_dir_option,
     click.option("--jobs", type=int, default=None, help="Parallel worker processes (0 = all cores)"),
     click.option("--plot/--no-plot", "plot", default=None, help="Emit SVG charts"),
 ]
@@ -278,10 +275,8 @@ IDENTITY_TOLERANCE = 1e-9
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--set", "-s", "overrides", multiple=True, metavar="KEY=VALUE")
-@click.option(
-    "--out-dir", type=click.Path(file_okay=False, path_type=Path), default=None
-)
+@_set_option
+@_out_dir_option
 @_friendly_errors
 def sandbox(config_file, overrides, out_dir):
     """Birth/death sandbox generating population-reward traces."""
@@ -311,7 +306,7 @@ def sandbox(config_file, overrides, out_dir):
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--set", "-s", "overrides", multiple=True, metavar="KEY=VALUE")
+@_set_option
 @_friendly_errors
 def validate(config_file, overrides):
     """Check a config file without running anything."""

@@ -3,10 +3,11 @@
 A config is a single YAML mapping whose key tree mirrors the experiment
 parameters; every key has a default, so a file may be as short as
 ``experiment: discrimination``. Flat ``key.path=value`` overrides are
-merged on top. Unknown keys are rejected with their full path, under
-``policy`` too (where every policy kind's keys are known), as is a value
-that is not a mapping where the defaults hold one; every validation
-message names the offending key.
+merged on top. Unknown keys are rejected with their full path, as is a
+value that is not a mapping where the defaults hold one. Under ``policy``
+the keys of every policy kind are known and type-checked, though a policy
+reads only its own kind's keys. Every validation message names the
+offending key.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -84,6 +86,19 @@ DISPERSAL_DEFAULTS = {
     "learner": dict(_LEARNER_DEFAULTS),
 }
 
+# Each reproduction policy kind's keys and defaults. A policy subtree may
+# name any kind's keys; the defaults are filled in when the policy is built,
+# never into the resolved config, whose hash would move.
+POLICY_DEFAULTS = {
+    "idle": {},
+    "always": {},
+    "random": {"p": 0.25},
+    "threshold": {"min_health": 5.0},
+    "q": {"reward": "combined", "alpha": 0.1, "epsilon0": 1.0, "decay": 0.995,
+          "epsilon_min": 0.01, "q_init": 0.0},
+}
+_POLICY_KEYS = {"kind"}.union(*POLICY_DEFAULTS.values())
+
 SANDBOX_DEFAULTS = {
     "experiment": "sandbox",
     "out_dir": None,
@@ -94,7 +109,7 @@ SANDBOX_DEFAULTS = {
     "initial_health": 10.0,
     "food_rate": 8,
     "steps": 500,
-    "policy": {"kind": "random", "p": 0.25},
+    "policy": {"kind": "random", **POLICY_DEFAULTS["random"]},
 }
 
 DEFAULTS_BY_EXPERIMENT = {
@@ -102,12 +117,6 @@ DEFAULTS_BY_EXPERIMENT = {
     "dispersal": DISPERSAL_DEFAULTS,
     "sandbox": SANDBOX_DEFAULTS,
 }
-
-# A policy reads only its own kind's keys, so its subtree may name any of
-# these, and only the default policy's keys are filled in.
-_POLICY_KEYS = (
-    "kind", "p", "min_health", "reward", "alpha", "epsilon0", "decay", "epsilon_min", "q_init",
-)
 
 
 def load_config_file(path: Path) -> dict:
@@ -211,6 +220,13 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_reward(value, path: str) -> str:
+    kinds = QReproductionPolicy.REWARD_KINDS
+    if value not in kinds:
+        raise ConfigError(f"{path}: expected one of {', '.join(kinds)}, got {value!r}")
+    return value
+
+
 def _as_jobs(value) -> int:
     jobs = _as_int(value, "jobs")
     if jobs < 0:
@@ -225,40 +241,40 @@ def _distinct(values: tuple, path: str) -> tuple:
     return values
 
 
-def _as_number_list(value, path: str) -> tuple[float, ...]:
+def _as_list(value, path: str, item=_as_float) -> tuple:
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers")
-    return _distinct(tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
+        noun = "integers" if item is _as_int else "numbers"
+        raise ConfigError(f"{path}: expected a non-empty list of {noun}")
+    return _distinct(tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
 
 
-def _as_int_list(value, path: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return _distinct(tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
+@contextmanager
+def _naming(key: str = ""):
+    """Re-raise a library ``ValueError`` as a ``ConfigError`` that starts with ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
 def _build_space(data: dict) -> GenotypeSpace:
-    try:
+    with _naming("genotype"):
         return GenotypeSpace(
             loci=_as_int(data["genotype"]["loci"], "genotype.loci"),
             variants=_as_int(data["genotype"]["variants"], "genotype.variants"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"genotype: {exc}") from exc
 
 
-def _build_learner(data: dict) -> LearnerConfig:
-    raw = data["learner"]
-    try:
+def _build_learner(raw: dict, path: str) -> LearnerConfig:
+    """The learner of ``learner.*``, or of a Q policy's checked ``policy.*``."""
+    with _naming(path):
         return LearnerConfig(
-            alpha=_as_float(raw["alpha"], "learner.alpha"),
-            epsilon0=_as_float(raw["epsilon0"], "learner.epsilon0"),
-            decay=None if raw["decay"] is None else _as_float(raw["decay"], "learner.decay"),
-            epsilon_min=_as_float(raw["epsilon_min"], "learner.epsilon_min"),
-            q_init=_as_float(raw["q_init"], "learner.q_init"),
+            alpha=_as_float(raw["alpha"], f"{path}.alpha"),
+            epsilon0=_as_float(raw["epsilon0"], f"{path}.epsilon0"),
+            decay=None if raw["decay"] is None else _as_float(raw["decay"], f"{path}.decay"),
+            epsilon_min=_as_float(raw["epsilon_min"], f"{path}.epsilon_min"),
+            q_init=_as_float(raw["q_init"], f"{path}.q_init"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +305,22 @@ def _shared_fields(resolved: dict) -> dict:
     """The ``ExperimentConfig`` fields that every point of a sweep shares."""
     return dict(
         space=_build_space(resolved),
-        learner=_build_learner(resolved),
+        learner=_build_learner(resolved["learner"], "learner"),
         steps_max=_as_int(resolved["steps_max"], "steps_max"),
         window=_as_int(resolved["window"], "window"),
     )
 
 
 def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]) -> SweepPlan:
-    """Build every point (a lazy ``points`` builds inside the ``try``), check
+    """Build every point (a lazy ``points`` builds inside ``_naming``), check
     that each can run before any does, and read the sweep-wide keys."""
-    try:
+    with _naming():
         points = tuple(points)
         for _, config in points:
             config.validate_feasible()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return SweepPlan(
         points=points,
-        seeds=_as_int_list(resolved["seeds"], "seeds"),
+        seeds=_as_list(resolved["seeds"], "seeds", _as_int),
         jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
         out_dir=resolved["out_dir"],
@@ -318,7 +332,7 @@ def build_discrimination_plan(resolved: dict) -> SweepPlan:
     """One point per benefit, keyed ``(c_over_b,)``."""
     shared = _shared_fields(resolved)
     cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
-    benefits = _as_number_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
+    benefits = _as_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
     inclusive = _as_bool(resolved["inclusive"], "inclusive")
     self_play = _as_bool(resolved["self_play"], "self_play")
     configs = (
@@ -350,8 +364,8 @@ def build_dispersal_plan(resolved: dict) -> SweepPlan:
             raise ConfigError(f"modes: entries must be 'inclusive' or 'baseline', got {mode!r}")
     _distinct(modes, "modes")
     cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
-    b_over_c = _as_number_list(resolved["dilemma"]["b_over_c"], "dilemma.b_over_c")
-    etas = _as_number_list(resolved["partition"]["etas"], "partition.etas")
+    b_over_c = _as_list(resolved["dilemma"]["b_over_c"], "dilemma.b_over_c")
+    etas = _as_list(resolved["partition"]["etas"], "partition.etas")
     community_size = _as_int(resolved["partition"]["community_size"], "partition.community_size")
     k_avg = _as_float(resolved["partition"]["k_avg"], "partition.k_avg")
     edge_sampling = _as_bool(resolved["edge_sampling"], "edge_sampling")
@@ -370,33 +384,24 @@ def build_dispersal_plan(resolved: dict) -> SweepPlan:
     ))
 
 
-_POLICY_KINDS = ("idle", "always", "random", "threshold", "q")
-
-
 def _build_policy(raw: dict) -> ReproductionPolicy:
-    kind = raw.get("kind")
-    if kind not in _POLICY_KINDS:
-        raise ConfigError(f"policy.kind must be one of {_POLICY_KINDS}, got {kind!r}")
-    try:
-        if kind == "idle":
-            return IdlePolicy()
-        if kind == "always":
-            return AlwaysReproducePolicy()
+    kind = raw["kind"]
+    if kind not in POLICY_DEFAULTS:
+        raise ConfigError(f"policy.kind must be one of {tuple(POLICY_DEFAULTS)}, got {kind!r}")
+    # every key given is checked, its own kind's or not; decay may not be null
+    values = {
+        key: (_as_reward if key == "reward" else _as_float)(value, f"policy.{key}")
+        for key, value in {**POLICY_DEFAULTS[kind], **raw}.items()
+        if key != "kind"
+    }
+    if kind == "q":
+        return QReproductionPolicy(_build_learner(values, "policy"), values["reward"])
+    with _naming("policy"):
         if kind == "random":
-            return RandomPolicy(_as_float(raw.get("p", 0.25), "policy.p"))
+            return RandomPolicy(values["p"])
         if kind == "threshold":
-            return ThresholdPolicy(_as_float(raw.get("min_health", 5.0), "policy.min_health"))
-        learner = LearnerConfig(
-            alpha=_as_float(raw.get("alpha", 0.1), "policy.alpha"),
-            epsilon0=_as_float(raw.get("epsilon0", 1.0), "policy.epsilon0"),
-            decay=_as_float(raw.get("decay", 0.995), "policy.decay"),
-            epsilon_min=_as_float(raw.get("epsilon_min", 0.01), "policy.epsilon_min"),
-            q_init=_as_float(raw.get("q_init", 0.0), "policy.q_init"),
-        )
-        reward_kind = raw.get("reward", "combined")
-        return QReproductionPolicy(learner, reward_kind)
-    except ValueError as exc:
-        raise ConfigError(f"policy: {exc}") from exc
+            return ThresholdPolicy(values["min_health"])
+    return IdlePolicy() if kind == "idle" else AlwaysReproducePolicy()
 
 
 def build_sandbox_plan(resolved: dict) -> SandboxPlan:
@@ -405,15 +410,11 @@ def build_sandbox_plan(resolved: dict) -> SandboxPlan:
     if raw_genotype is None:
         initial = Genotype(tuple(0 for _ in range(space.loci)))
     else:
-        try:
+        with _naming("initial_genotype"):
             initial = Genotype.from_string(str(raw_genotype))
-        except ValueError as exc:
-            raise ConfigError(f"initial_genotype: {exc}") from exc
-    try:
+    with _naming("mutation.mu"):
         mutation = MutationSpec(_as_float(resolved["mutation"]["mu"], "mutation.mu"))
-    except ValueError as exc:
-        raise ConfigError(f"mutation.mu: {exc}") from exc
-    try:
+    with _naming():  # each SandboxConfig message starts with its field's name
         sandbox = SandboxConfig(
             space=space,
             initial_genotype=initial,
@@ -423,8 +424,6 @@ def build_sandbox_plan(resolved: dict) -> SandboxPlan:
             steps=_as_int(resolved["steps"], "steps"),
             policy=_build_policy(resolved["policy"]),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return SandboxPlan(
         sandbox=sandbox,
         seed=_as_int(resolved["seed"], "seed"),

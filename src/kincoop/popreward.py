@@ -291,7 +291,7 @@ class SandboxConfig:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if not self.space.contains(self.initial_genotype):
-            raise ValueError("initial genotype must belong to the genotype space")
+            raise ValueError("initial_genotype must belong to the genotype space")
 
 
 @dataclass

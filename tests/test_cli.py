@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import kincoop.cli
 from kincoop.cli import main
 from kincoop.ioutil import write_atomic
+from kincoop.popreward import QReproductionPolicy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -378,6 +379,14 @@ class TestSandboxCommand:
         assert result.exit_code == 0
         assert "identity check PASS" in result.output
 
+    def test_help_shows_override_and_out_dir_help(self, runner):
+        result = runner.invoke(main, ["sandbox", "--help"])
+        assert result.exit_code == 0, result.output
+        assert "Override a config key by dotted path" in result.output
+        assert "Output directory" in result.output
+        # the sweep flags belong to discrimination and dispersal only
+        assert "--seeds" not in result.output and "--jobs" not in result.output
+
     def test_q_policy_config(self, runner, tmp_path):
         cfg = dict(SAND_CFG)
         cfg["policy"] = {"kind": "q", "reward": "longevity", "decay": 0.99}
@@ -564,6 +573,40 @@ class TestRejectedKeys:
         )
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [(["policy.alpha=x"], "policy.alpha"), (["policy.kind=idle", "policy.p=x"], "policy.p")],
+        ids=["alpha-under-random", "p-under-idle"],
+    )
+    def test_key_of_another_policy_kind_is_checked(self, runner, overrides, key):
+        # both printed OK: the policy built reads only its own kind's keys
+        args = ["validate", str(CONFIGS / "sandbox.yaml")]
+        for override in overrides:
+            args += ["-s", override]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{key}: expected a number, got 'x'" in result.output
+
+    @pytest.mark.parametrize("kind", ["q", "random"])
+    def test_policy_reward_names_its_key(self, runner, kind):
+        result = runner.invoke(main, [
+            "validate", str(CONFIGS / "sandbox.yaml"),
+            "-s", f"policy.kind={kind}", "-s", "policy.reward=best",
+        ])
+        assert result.exit_code == 2, result.output
+        kinds = ", ".join(QReproductionPolicy.REWARD_KINDS)
+        assert f"policy.reward: expected one of {kinds}, got 'best'" in result.output
+        assert "reward_kind" not in result.output
+
+    @pytest.mark.parametrize("override", ["genotype.loci=2", "initial_genotype=0-0-0-9"])
+    def test_initial_genotype_outside_space_names_key(self, runner, override):
+        # the message used to name no key
+        result = runner.invoke(
+            main, ["validate", str(CONFIGS / "sandbox.yaml"), "-s", override]
+        )
+        assert result.exit_code == 2, result.output
+        assert "initial_genotype must belong to the genotype space" in result.output
+
 
 # Exit code and last output line of ``kincoop validate <shipped config> -s ...``
 # for one bad value per key: a wrong type, and where the key has a range, a
@@ -638,14 +681,14 @@ VALIDATE_TABLE = [
     ('sandbox.yaml', 'steps=-1', 2, 'Error: steps must be >= 0'),
     ('sandbox.yaml', 'genotype.loci=x', 2, "Error: genotype.loci: expected an integer, got 'x'"),
     ('sandbox.yaml', 'genotype.loci=2', 2,
-     'Error: initial genotype must belong to the genotype space'),
+     'Error: initial_genotype must belong to the genotype space'),
     ('sandbox.yaml', 'genotype.variants=x', 2,
      "Error: genotype.variants: expected an integer, got 'x'"),
     ('sandbox.yaml', 'genotype.variants=1', 2, 'Error: genotype: variants must be >= 2'),
     ('sandbox.yaml', 'initial_genotype=x', 2,
      "Error: initial_genotype: malformed genotype string 'x'"),
     ('sandbox.yaml', 'initial_genotype=0-0-0-9', 2,
-     'Error: initial genotype must belong to the genotype space'),
+     'Error: initial_genotype must belong to the genotype space'),
     ('sandbox.yaml', 'mutation.mu=x', 2, "Error: mutation.mu: expected a number, got 'x'"),
     ('sandbox.yaml', 'mutation.mu=1.5', 2,
      'Error: mutation.mu: mutation probability must be in [0, 1], got 1.5'),
@@ -655,76 +698,75 @@ VALIDATE_TABLE = [
     ('sandbox.yaml', 'food_rate=-1', 2, 'Error: food_rate must be >= 0'),
     ('sandbox.yaml', 'policy.kind=x', 2,
      "Error: policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), got 'x'"),
-    ('sandbox.yaml', 'policy.kind=idle policy.p=x', 0,
-     'OK: valid sandbox configuration (hash 543859da73e2)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.min_health=x', 0,
-     'OK: valid sandbox configuration (hash 63fc005db0cc)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.reward=3', 0,
-     'OK: valid sandbox configuration (hash 05f3e58f5b61)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.alpha=x', 0,
-     'OK: valid sandbox configuration (hash 943df58974c8)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.epsilon0=x', 0,
-     'OK: valid sandbox configuration (hash dc834b4af26c)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.decay=x', 0,
-     'OK: valid sandbox configuration (hash badfb61fed46)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.epsilon_min=x', 0,
-     'OK: valid sandbox configuration (hash d68fa1673709)'),
-    ('sandbox.yaml', 'policy.kind=idle policy.q_init=x', 0,
-     'OK: valid sandbox configuration (hash 8f90ff986b85)'),
-    ('sandbox.yaml', 'policy.kind=always policy.p=x', 0,
-     'OK: valid sandbox configuration (hash 8df3f8d4aa26)'),
-    ('sandbox.yaml', 'policy.kind=always policy.min_health=x', 0,
-     'OK: valid sandbox configuration (hash 5ae5791e17b9)'),
-    ('sandbox.yaml', 'policy.kind=always policy.reward=3', 0,
-     'OK: valid sandbox configuration (hash eb67817ce0dc)'),
-    ('sandbox.yaml', 'policy.kind=always policy.alpha=x', 0,
-     'OK: valid sandbox configuration (hash 32910e9ff63c)'),
-    ('sandbox.yaml', 'policy.kind=always policy.epsilon0=x', 0,
-     'OK: valid sandbox configuration (hash 758ffb3b3f95)'),
-    ('sandbox.yaml', 'policy.kind=always policy.decay=x', 0,
-     'OK: valid sandbox configuration (hash 318916c987c2)'),
-    ('sandbox.yaml', 'policy.kind=always policy.epsilon_min=x', 0,
-     'OK: valid sandbox configuration (hash 4c06305820e3)'),
-    ('sandbox.yaml', 'policy.kind=always policy.q_init=x', 0,
-     'OK: valid sandbox configuration (hash 11c50a08bf77)'),
+    ('sandbox.yaml', 'policy.kind=idle policy.p=x', 2,
+     "Error: policy.p: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.min_health=x', 2,
+     "Error: policy.min_health: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.reward=3', 2,
+     'Error: policy.reward: expected one of longevity, replication, combined, got 3'),
+    ('sandbox.yaml', 'policy.kind=idle policy.alpha=x', 2,
+     "Error: policy.alpha: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.epsilon0=x', 2,
+     "Error: policy.epsilon0: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.decay=x', 2,
+     "Error: policy.decay: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.epsilon_min=x', 2,
+     "Error: policy.epsilon_min: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=idle policy.q_init=x', 2,
+     "Error: policy.q_init: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.p=x', 2,
+     "Error: policy.p: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.min_health=x', 2,
+     "Error: policy.min_health: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.reward=3', 2,
+     'Error: policy.reward: expected one of longevity, replication, combined, got 3'),
+    ('sandbox.yaml', 'policy.kind=always policy.alpha=x', 2,
+     "Error: policy.alpha: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.epsilon0=x', 2,
+     "Error: policy.epsilon0: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.decay=x', 2,
+     "Error: policy.decay: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.epsilon_min=x', 2,
+     "Error: policy.epsilon_min: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=always policy.q_init=x', 2,
+     "Error: policy.q_init: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=random policy.p=x', 2,
      "Error: policy.p: expected a number, got 'x'"),
-    ('sandbox.yaml', 'policy.kind=random policy.min_health=x', 0,
-     'OK: valid sandbox configuration (hash 98f5cd059da9)'),
-    ('sandbox.yaml', 'policy.kind=random policy.reward=3', 0,
-     'OK: valid sandbox configuration (hash 7c0924fcfce2)'),
-    ('sandbox.yaml', 'policy.kind=random policy.alpha=x', 0,
-     'OK: valid sandbox configuration (hash 278cc73a6681)'),
-    ('sandbox.yaml', 'policy.kind=random policy.epsilon0=x', 0,
-     'OK: valid sandbox configuration (hash 3aa5045837ca)'),
-    ('sandbox.yaml', 'policy.kind=random policy.decay=x', 0,
-     'OK: valid sandbox configuration (hash c5861e09f126)'),
-    ('sandbox.yaml', 'policy.kind=random policy.epsilon_min=x', 0,
-     'OK: valid sandbox configuration (hash 3af7bb258f4d)'),
-    ('sandbox.yaml', 'policy.kind=random policy.q_init=x', 0,
-     'OK: valid sandbox configuration (hash 70472c968181)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.p=x', 0,
-     'OK: valid sandbox configuration (hash 6a69a24dbc89)'),
+    ('sandbox.yaml', 'policy.kind=random policy.min_health=x', 2,
+     "Error: policy.min_health: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.reward=3', 2,
+     'Error: policy.reward: expected one of longevity, replication, combined, got 3'),
+    ('sandbox.yaml', 'policy.kind=random policy.alpha=x', 2,
+     "Error: policy.alpha: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.epsilon0=x', 2,
+     "Error: policy.epsilon0: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.decay=x', 2,
+     "Error: policy.decay: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.epsilon_min=x', 2,
+     "Error: policy.epsilon_min: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=random policy.q_init=x', 2,
+     "Error: policy.q_init: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.p=x', 2,
+     "Error: policy.p: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=threshold policy.min_health=x', 2,
      "Error: policy.min_health: expected a number, got 'x'"),
-    ('sandbox.yaml', 'policy.kind=threshold policy.reward=3', 0,
-     'OK: valid sandbox configuration (hash d5edea9c62eb)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.alpha=x', 0,
-     'OK: valid sandbox configuration (hash 52e61016b518)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon0=x', 0,
-     'OK: valid sandbox configuration (hash 1dbd3fd38857)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.decay=x', 0,
-     'OK: valid sandbox configuration (hash 84129a82f654)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon_min=x', 0,
-     'OK: valid sandbox configuration (hash e25f3420902a)'),
-    ('sandbox.yaml', 'policy.kind=threshold policy.q_init=x', 0,
-     'OK: valid sandbox configuration (hash 99919801adb1)'),
-    ('sandbox.yaml', 'policy.kind=q policy.p=x', 0,
-     'OK: valid sandbox configuration (hash f2fdb69cb6ad)'),
-    ('sandbox.yaml', 'policy.kind=q policy.min_health=x', 0,
-     'OK: valid sandbox configuration (hash ca92cf5e1a0b)'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.reward=3', 2,
+     'Error: policy.reward: expected one of longevity, replication, combined, got 3'),
+    ('sandbox.yaml', 'policy.kind=threshold policy.alpha=x', 2,
+     "Error: policy.alpha: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon0=x', 2,
+     "Error: policy.epsilon0: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.decay=x', 2,
+     "Error: policy.decay: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.epsilon_min=x', 2,
+     "Error: policy.epsilon_min: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=threshold policy.q_init=x', 2,
+     "Error: policy.q_init: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.p=x', 2, "Error: policy.p: expected a number, got 'x'"),
+    ('sandbox.yaml', 'policy.kind=q policy.min_health=x', 2,
+     "Error: policy.min_health: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=q policy.reward=3', 2,
-     "Error: policy: reward_kind must be one of ('longevity', 'replication', 'combined')"),
+     'Error: policy.reward: expected one of longevity, replication, combined, got 3'),
     ('sandbox.yaml', 'policy.kind=q policy.alpha=x', 2,
      "Error: policy.alpha: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=q policy.epsilon0=x', 2,
@@ -737,7 +779,7 @@ VALIDATE_TABLE = [
      "Error: policy.q_init: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=random policy.p=2', 2, 'Error: policy: p must be in [0, 1]'),
     ('sandbox.yaml', 'policy.kind=q policy.reward=x', 2,
-     "Error: policy: reward_kind must be one of ('longevity', 'replication', 'combined')"),
+     "Error: policy.reward: expected one of longevity, replication, combined, got 'x'"),
     ('sandbox.yaml', 'policy.kind=q policy.alpha=0', 2, 'Error: policy: alpha must be in (0, 1]'),
     ('sandbox.yaml', 'policy.kind=q policy.epsilon0=2', 2,
      'Error: policy: epsilon0 must be in [0, 1]'),
