@@ -112,7 +112,7 @@ _out_dir_option = click.option(
     "--out-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
     help=f"Output directory (default: config, then ${OUT_DIR_ENV}, then '.')",
 )
-# the sweep commands' options; sandbox takes only -s and --out-dir, validate -s
+# the sweep commands' options; sandbox and validate take some of them
 _shared_options = [
     _set_option,
     click.option("--seeds", default=None, help="Comma-separated seed list, e.g. 1,2,3"),
