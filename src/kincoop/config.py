@@ -3,11 +3,11 @@
 A config is a single YAML mapping whose key tree mirrors the experiment
 parameters; every key has a default, so a file may be as short as
 ``experiment: discrimination``. Flat ``key.path=value`` overrides are
-merged on top. Unknown keys are rejected with their full path, as is a
-value that is not a mapping where the defaults hold one. Under ``policy``
-the keys of every policy kind are known and type-checked, though a policy
-reads only its own kind's keys. Every validation message names the
-offending key.
+merged on top; they may not change ``experiment``. Unknown keys are
+rejected with their full path, as is a value that is not a mapping where
+the defaults hold one. Under ``policy`` the keys of every policy kind are
+known and type-checked, though a policy reads only its own kind's keys.
+Every validation message names the offending key.
 """
 
 from __future__ import annotations
@@ -188,6 +188,11 @@ def resolve_config(data: dict, overrides: Sequence[str] = ()) -> dict:
     if overrides:
         merged = apply_overrides(merged, overrides)
         merged = merge_with_defaults(merged, DEFAULTS_BY_EXPERIMENT[kind])
+        if merged["experiment"] != kind:
+            raise ConfigError(
+                f"experiment: an override cannot change the experiment from {kind!r} "
+                f"to {merged['experiment']!r}"
+            )
     return merged
 
 
@@ -220,6 +225,19 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {seed}")
+    return seed
+
+
+def _as_out_dir(value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"out_dir: expected a directory path, got {value!r}")
+    return value
+
+
 def _as_reward(value, path: str) -> str:
     kinds = QReproductionPolicy.REWARD_KINDS
     if value not in kinds:
@@ -243,7 +261,7 @@ def _distinct(values: tuple, path: str) -> tuple:
 
 def _as_list(value, path: str, item=_as_float) -> tuple:
     if not isinstance(value, (list, tuple)) or not value:
-        noun = "integers" if item is _as_int else "numbers"
+        noun = "numbers" if item is _as_float else "integers"
         raise ConfigError(f"{path}: expected a non-empty list of {noun}")
     return _distinct(tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
 
@@ -320,10 +338,10 @@ def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]
             config.validate_feasible()
     return SweepPlan(
         points=points,
-        seeds=_as_list(resolved["seeds"], "seeds", _as_int),
+        seeds=_as_list(resolved["seeds"], "seeds", _as_seed),
         jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
-        out_dir=resolved["out_dir"],
+        out_dir=_as_out_dir(resolved["out_dir"]),
         resolved=resolved,
     )
 
@@ -426,7 +444,7 @@ def build_sandbox_plan(resolved: dict) -> SandboxPlan:
         )
     return SandboxPlan(
         sandbox=sandbox,
-        seed=_as_int(resolved["seed"], "seed"),
-        out_dir=resolved["out_dir"],
+        seed=_as_seed(resolved["seed"], "seed"),
+        out_dir=_as_out_dir(resolved["out_dir"]),
         resolved=resolved,
     )

@@ -36,12 +36,15 @@ value tables carry a leading axis of P points; each step's draws are made
 once, in the state mask's shape, and broadcast over that axis, and every
 point keeps its own stable-step counter. A point that meets the stop rule
 is reported as of its own stop step, so each point's result is
-bit-identical to a run of that point alone. ``run_sweep`` groups the
-dispersal tasks whose configs differ only in ``dilemma`` and share a seed,
-one group per (eta, reward mode, seed). A group samples its network and
-similarity once, and its points share them, the random stream and every
-step's draws; only the payoff matrix differs between them.
-Discrimination tasks run one point each.
+bit-identical to a run of that point alone. ``run_sweep`` groups the tasks
+of either kind whose configs differ only in ``dilemma`` and ``inclusive``
+and share a seed: one group per (eta, seed) for dispersal, one per seed
+for discrimination. A group builds its network and similarity once, and
+its points share them, the random stream and every step's draws; each
+point has its own payoff matrix and similarity weights, 0.0 for a
+baseline point. That is exact: ``pm + 0.0 * x == pm``, as no payoff entry
+is -0.0. Any subset of a group learns bit-identically too, so the sweep
+halves groups to keep its workers busy (see ``_group_tasks``).
 
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
@@ -173,10 +176,10 @@ def _learn(
 
     Every step draws three blocks of ``active.shape`` (explore flags, random
     actions, tie coins) and uses them for every point: greedy actions with
-    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) actions to
-    the reward of each cell's action (it may draw more numbers from
-    ``rng``), and the taken action's value moves toward it wherever
-    ``active``. Each cell counts snapshot + 1 over the last ``window``
+    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) int8
+    actions (0 cooperate, 1 defect) to the reward of each cell's action (it
+    may draw more numbers from ``rng``), and the taken action's value moves
+    toward it wherever ``active``. Each cell counts snapshot + 1 over the last ``window``
     steps. A point stops once its greedy policy has not changed for a full
     window and epsilon is at its floor; that window held its last snapshot
     alone, and its result is the one at its stop step. The loop ends when
@@ -187,8 +190,11 @@ def _learn(
     q_c = np.full((points,) + shape, learner.q_init, dtype=float)  # value of cooperating
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
+    all_active = bool(active.all())
     inactive = ~active
 
+    defect = np.empty((points,) + shape, dtype=bool)  # the action taken; True = 1
+    acts = defect.view(np.int8)
     # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
     coop_count = np.zeros((points,) + shape, dtype=np.int64)
     prev_greedy = np.zeros((points,) + shape, dtype=np.int8)
@@ -202,23 +208,28 @@ def _learn(
     for t in range(config.steps_max):
         eps = epsilon_at(learner, t)
         explore = rng.random(shape) < eps
-        random_acts = rng.integers(0, 2, size=shape)
-        tie_coins = rng.integers(0, 2, size=shape)
+        # the random actions, then the tie coins: the stream of two such calls
+        random_acts, tie_coins = rng.integers(0, 2, size=(2,) + shape)
 
-        greedy = np.where(gap > 0, 0, np.where(gap < 0, 1, tie_coins))
-        acts = np.where(explore, random_acts, greedy)
+        # greedy action with a coin on exact ties, unless exploring
+        np.less(gap, 0, out=defect)
+        np.copyto(defect, tie_coins, where=gap == 0, casting="unsafe")
+        np.copyto(defect, random_acts, where=explore, casting="unsafe")
         reward = reward_fn(acts)
 
-        defect = acts == 1
-        q_taken = np.where(defect, q_d, q_c)
-        q_new = q_update(q_taken, reward, learner.alpha)
-        update_d = active & defect
-        np.copyto(q_d, q_new, where=update_d)
-        np.copyto(q_c, q_new, where=active ^ update_d)
+        q_new = q_update(np.where(defect, q_d, q_c), reward, learner.alpha)
+        if all_active:
+            np.copyto(q_d, q_new, where=defect)
+            np.copyto(q_c, q_new, where=~defect)
+        else:
+            update_d = active & defect
+            np.copyto(q_d, q_new, where=update_d)
+            np.copyto(q_c, q_new, where=active ^ update_d)
 
-        gap = q_c - q_d
+        np.subtract(q_c, q_d, out=gap)
         snapshot = np.sign(gap).astype(np.int8)
-        snapshot[:, inactive] = 0
+        if not all_active:
+            snapshot[:, inactive] = 0
         if t >= config.steps_max - config.window:
             coop_count += snapshot + 1
         same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
@@ -301,31 +312,8 @@ def run_discrimination(
     uses a single action for both roles and full self-relatedness, so its
     reward is twice the individual payoff when rewards are inclusive.
     """
-    if config.kind != "discrimination":
-        raise ValueError("config.kind must be 'discrimination'")
-    config.validate_feasible()
-    if genotypes is None:
-        genotypes = enumerate_genotypes(config.space)
-    n_agents = len(genotypes)
-    if n_agents > MAX_DISCRIMINATION_AGENTS:
-        raise ValueError(f"too many agents ({n_agents}) for a complete-network run")
-
-    net = build_complete_network(genotypes)
-    sim = _similarity(genotypes, similarity_override)
-    weights = sim.copy()
-    np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-    state_mask = np.ones((n_agents, n_agents), dtype=bool)
-    if not config.self_play:
-        np.fill_diagonal(state_mask, False)
-    pm = payoff_matrix(config.dilemma)
-
-    def reward_fn(acts: np.ndarray) -> np.ndarray:
-        # payoff[0, i, j]: i's individual payoff vs j
-        payoff = pm[acts, acts.swapaxes(-1, -2)]
-        return payoff + weights * payoff.swapaxes(-1, -2) if config.inclusive else payoff
-
-    (learned,) = _learn(config, state_mask, reward_fn, np.random.default_rng(seed))
-    return _run_result(config, seed, net, sim, state_mask, learned)
+    (result,) = _run_discrimination_group((config,), seed, genotypes, similarity_override)
+    return result
 
 
 def run_dispersal(
@@ -352,9 +340,74 @@ def run_dispersal(
     return result
 
 
-def _without_dilemma(config: ExperimentConfig) -> ExperimentConfig:
-    """What the points of one dispersal group have in common."""
-    return replace(config, dilemma=None)
+def _group_key(config: ExperimentConfig) -> ExperimentConfig:
+    """What the points of one group have in common: everything but the
+    dilemma and the reward mode, neither of which draws random numbers."""
+    return replace(config, dilemma=None, inclusive=False)
+
+
+def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
+    if configs[0].kind != kind:
+        raise ValueError(f"config.kind must be {kind!r}")
+    key = _group_key(configs[0])
+    if any(_group_key(other) != key for other in configs[1:]):
+        raise ValueError("grouped configs may differ only in dilemma and inclusive")
+
+
+def _point_weights(configs: Sequence[ExperimentConfig], sim: np.ndarray) -> Optional[np.ndarray]:
+    """Each point's similarity weights, with a leading point axis: ``sim``
+    for an inclusive point and 0.0 for a baseline one, or ``None`` when no
+    point is inclusive. ``pm + 0.0 * x == pm`` because no payoff entry is
+    -0.0, so a baseline point's reward is its own payoff bit for bit."""
+    inclusive = np.array([config.inclusive for config in configs])
+    if not inclusive.any():
+        return None
+    return np.where(inclusive.reshape((-1,) + (1,) * sim.ndim), sim, 0.0)
+
+
+def _run_discrimination_group(
+    configs: Sequence[ExperimentConfig],
+    seed: int,
+    genotypes: Optional[list[Genotype]] = None,
+    similarity_override: Optional[np.ndarray] = None,
+) -> list[RunResult]:
+    """``run_discrimination`` for configs that differ only in ``dilemma`` and
+    ``inclusive``, on one network and one random stream; result ``k`` is
+    bit-identical to ``run_discrimination(configs[k], seed, ...)``."""
+    _check_group(configs, "discrimination")
+    config = configs[0]
+    config.validate_feasible()
+    if genotypes is None:
+        genotypes = enumerate_genotypes(config.space)
+    n_agents = len(genotypes)
+    if n_agents > MAX_DISCRIMINATION_AGENTS:
+        raise ValueError(f"too many agents ({n_agents}) for a complete-network run")
+
+    net = build_complete_network(genotypes)
+    sim = _similarity(genotypes, similarity_override)
+    weights = sim.copy()
+    np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
+    weights = _point_weights(configs, weights)
+    state_mask = np.ones((n_agents, n_agents), dtype=bool)
+    if not config.self_play:
+        np.fill_diagonal(state_mask, False)
+    n_points = len(configs)
+    pms = np.stack([payoff_matrix(c.dilemma) for c in configs]).ravel()  # [point, own, other]
+    at = 4 * np.arange(n_points)[:, None, None]
+
+    def reward_fn(acts: np.ndarray) -> np.ndarray:
+        own = acts.astype(np.intp)
+        index = own + own
+        index += own.swapaxes(-1, -2)
+        index += at
+        payoff = np.take(pms, index)  # payoff[p, i, j]: i's individual payoff vs j
+        return payoff if weights is None else payoff + weights * payoff.swapaxes(-1, -2)
+
+    learned = _learn(config, state_mask, reward_fn, np.random.default_rng(seed), n_points)
+    return [
+        _run_result(point_config, seed, net, sim, state_mask, point_learned)
+        for point_config, point_learned in zip(configs, learned)
+    ]
 
 
 def _run_dispersal_group(
@@ -364,14 +417,11 @@ def _run_dispersal_group(
     similarity_override: Optional[np.ndarray] = None,
     network_override: Optional[NetworkTopology] = None,
 ) -> list[RunResult]:
-    """``run_dispersal`` for dispersal configs that differ only in ``dilemma``,
-    on one network and one random stream; result ``k`` is bit-identical to
-    ``run_dispersal(configs[k], seed, ...)``."""
+    """``run_dispersal`` for configs that differ only in ``dilemma`` and
+    ``inclusive``, on one network and one random stream; result ``k`` is
+    bit-identical to ``run_dispersal(configs[k], seed, ...)``."""
+    _check_group(configs, "dispersal")
     config = configs[0]
-    if config.kind != "dispersal":
-        raise ValueError("config.kind must be 'dispersal'")
-    if any(_without_dilemma(other) != _without_dilemma(config) for other in configs[1:]):
-        raise ValueError("grouped dispersal configs may differ only in dilemma")
     rng = np.random.default_rng(seed)
     if network_override is not None:
         net = network_override
@@ -390,7 +440,7 @@ def _run_dispersal_group(
     agent, nbr = agent[by_agent], nbr[by_agent]
     nbr_count = np.bincount(agent, minlength=n_agents)
     has_neighbors = nbr_count > 0
-    edge_sim = _edge_similarity(net, similarity_override, agent, nbr)
+    edge_sim = _point_weights(configs, _edge_similarity(net, similarity_override, agent, nbr))
     n_points = len(configs)
     pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
 
@@ -399,7 +449,7 @@ def _run_dispersal_group(
         # agent's empty slice indexable; the kernel masks its update.
         point = np.arange(n_points)[:, None]
         nbr_index = np.append(nbr, 0)
-        pick_sim = np.append(edge_sim, 0.0)
+        pick_sim = None if edge_sim is None else np.pad(edge_sim, ((0, 0), (0, 1)))
         nbr_start = np.cumsum(nbr_count) - nbr_count
 
         # Only each agent's picked pair is evaluated.
@@ -408,9 +458,9 @@ def _run_dispersal_group(
             pick = nbr_start + (picks * nbr_count).astype(np.intp)
             partner_acts = acts[:, nbr_index[pick]]
             payoff = pms[point, acts, partner_acts]
-            if config.inclusive:
-                return payoff + pick_sim[pick] * pms[point, partner_acts, acts]
-            return payoff
+            if pick_sim is None:
+                return payoff
+            return payoff + pick_sim[:, pick] * pms[point, partner_acts, acts]
 
     else:
         # The mean over neighbours is the row sum of the dense (agent,
@@ -421,14 +471,14 @@ def _run_dispersal_group(
         own_at, other_at = at + agent[e], at + nbr[e]
         # Each edge's pair reward for the four action pairs, filled once:
         # table[p, 2 * a_own + a_other, e] is the float expression
-        # sim * pm_p[a_other, a_own] + pm_p[a_own, a_other], or
-        # pm_p[a_own, a_other] for the baseline.
+        # sim_p * pm_p[a_other, a_own] + pm_p[a_own, a_other], or
+        # pm_p[a_own, a_other] when no point is inclusive.
         n_edges = len(agent)
         table = np.empty((n_points, 4, n_edges))
         for a_own in (0, 1):
             for a_other in (0, 1):
                 payoff = pms[:, a_own, a_other, None]
-                if config.inclusive:
+                if edge_sim is not None:
                     payoff = edge_sim * pms[:, a_other, a_own, None] + payoff
                 table[:, 2 * a_own + a_other] = payoff
         table = table.ravel()
@@ -436,7 +486,9 @@ def _run_dispersal_group(
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
-            scaled = (acts * n_edges).ravel()
+            # intp before the product: int8 actions would wrap at n_edges
+            scaled = acts.astype(np.intp).ravel()
+            scaled *= n_edges
             index = np.take(scaled, own_at)
             index += index
             index += np.take(scaled, other_at)
@@ -450,8 +502,15 @@ def _run_dispersal_group(
     ]
 
 
-# One-slot hand-off between the run_experiment calls of one dispersal group:
-# the first call learns every point, later calls take their result from here.
+def _run_points(configs: Sequence[ExperimentConfig], seed: int) -> list[RunResult]:
+    """One group's points at ``seed``, learned in one pass by its kind's runner."""
+    if configs[0].kind == "discrimination":
+        return _run_discrimination_group(configs, seed)
+    return _run_dispersal_group(configs, seed)
+
+
+# One-slot hand-off between the run_experiment calls of one group: the first
+# call learns every point, later calls take their result from here.
 _handoff: Optional[tuple[tuple, list[ExperimentConfig], list[RunResult]]] = None
 
 
@@ -460,24 +519,24 @@ def run_experiment(
 ) -> RunResult:
     """One parameter point at one seed.
 
-    ``group``, if given, lists dispersal configs that differ only in
-    ``dilemma``, ``config`` among them. The first call for a (group, seed)
-    learns every point of the group at once; the calls for the other
-    points return their results from a hand-off that empties once each
-    point has been handed out. The result equals a run of ``config`` alone.
+    ``group``, if given, lists configs of one kind that differ only in
+    ``dilemma`` and ``inclusive``, ``config`` among them. The first call for
+    a (group, seed) learns every point of the group at once; the calls for
+    the other points return their results from a hand-off that empties once
+    each point has been handed out. The result equals a run of ``config``
+    alone.
     """
     global _handoff
     if len(group) < 2:
         if group and group[0] != config:
             raise ValueError("config is not a member of its group")
-        if config.kind == "discrimination":
-            return run_discrimination(config, seed)
-        return run_dispersal(config, seed)
+        (result,) = _run_points((config,), seed)
+        return result
     key = (tuple(group), seed)
     if _handoff is None or _handoff[0] != key or config not in _handoff[1]:
         if config not in group:
             raise ValueError("config is not a member of its group")
-        _handoff = (key, list(group), _run_dispersal_group(group, seed))
+        _handoff = (key, list(group), _run_points(group, seed))
     configs, results = _handoff[1], _handoff[2]
     index = configs.index(config)
     del configs[index]
@@ -566,29 +625,58 @@ def _run_group(tasks: Sequence[SweepTask]) -> list[tuple[tuple, int, dict]]:
     return [_payload(task, run_experiment(task.config, task.seed, group)) for task in tasks]
 
 
-def _group_tasks(tasks: Sequence[SweepTask]) -> list[list[SweepTask]]:
-    """Dispersal tasks whose configs differ only in ``dilemma`` and that share
-    a seed form one group, in first-seen order; every other task is alone."""
+# A chunk's points share every work array of a kernel step, so a chunk holds
+# at most this many state cells (one per (agent, opponent) pair of a
+# discrimination point, one per node of a dispersal point): 1024-agent
+# discrimination points learn one per chunk, in the memory of a lone run.
+MAX_CHUNK_CELLS = 1 << 20
+
+
+def _point_cells(config: ExperimentConfig) -> int:
+    n = config.space.size
+    return n * n if config.kind == "discrimination" else n * config.partition.community_size
+
+
+def _group_tasks(tasks: Sequence[SweepTask], jobs: int = 1) -> list[list[SweepTask]]:
+    """The tasks cut into chunks that each learn in one pass, largest first.
+
+    Tasks whose configs share ``_group_key`` and a seed form one group, in
+    first-seen order. Any subset of a group learns bit-identically, so a
+    chunk over ``MAX_CHUNK_CELLS`` is halved, and then the largest chunk is
+    halved until the chunk count is a multiple of ``jobs`` or every chunk
+    holds one point, which keeps ``jobs`` workers busy.
+    """
     groups: dict[tuple, list[SweepTask]] = {}
-    for index, task in enumerate(tasks):
-        shared = _without_dilemma(task.config) if task.config.kind == "dispersal" else index
-        groups.setdefault((shared, task.seed), []).append(task)
-    return list(groups.values())
+    for task in tasks:
+        groups.setdefault((_group_key(task.config), task.seed), []).append(task)
+
+    def oversized(chunk: list[SweepTask]) -> bool:
+        return len(chunk) > 1 and len(chunk) * _point_cells(chunk[0].config) > MAX_CHUNK_CELLS
+
+    chunks = list(groups.values())
+    while chunks:
+        # an oversized chunk, else the first of the largest
+        i = max(range(len(chunks)), key=lambda k: (oversized(chunks[k]), len(chunks[k])))
+        if not oversized(chunks[i]) and (len(chunks) % jobs == 0 or len(chunks[i]) == 1):
+            break
+        half = (len(chunks[i]) + 1) // 2
+        chunks[i:i + 1] = [chunks[i][:half], chunks[i][half:]]
+    return sorted(chunks, key=len, reverse=True)
 
 
 def run_sweep(tasks: Sequence[SweepTask], jobs: int = 1) -> dict[tuple, dict[int, dict]]:
     """Execute (parameter point, seed) tasks, serially or across processes.
 
-    Each group of tasks (see ``_group_tasks``) is learned in one pass by one
+    Each chunk of tasks (see ``_group_tasks``) is learned in one pass by one
     worker. Output is keyed and ordered deterministically, so parallel and
     serial execution produce identical downstream tables.
     """
-    groups = _group_tasks(tasks)
-    if jobs > 1 and len(groups) > 1:
+    chunks = _group_tasks(tasks, jobs)
+    if jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = [row for rows in pool.map(_run_group, groups, chunksize=1) for row in rows]
+            raw = [row for rows in pool.map(_run_group, chunks, chunksize=1) for row in rows]
     else:
-        raw = [row for group in groups for row in _run_group(group)]
+        raw = [row for chunk in chunks for row in _run_group(chunk)]
     out: dict[tuple, dict[int, dict]] = {}
     for key, seed, payload in sorted(raw, key=lambda item: (item[0], item[1])):
         out.setdefault(key, {})[seed] = payload

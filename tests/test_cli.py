@@ -96,6 +96,22 @@ class TestDiscriminationCommand:
         assert lines[0] == "c_over_b,h,coop_freq_mean,coop_freq_se,n_seeds"
         assert len(lines) == 1 + 3  # lattice {0, 1/2, 1} for two loci
 
+    @pytest.mark.parametrize("inclusive", ["true", "false"])
+    def test_jobs_one_and_two_write_the_same_bytes(self, runner, tmp_path, inclusive):
+        # three groups of three benefits; two workers split one group in halves
+        cfg = {**DISC_CFG, "dilemma": {"cost": 1.0, "benefits": [4.0, 2.5, 1.4285714285714286]},
+               "plot": True}
+        write_cfg(tmp_path / "c.yaml", cfg)
+        for jobs in ("1", "2"):
+            result = runner.invoke(main, [
+                "discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / jobs),
+                "--seeds=1,2,3", "--jobs", jobs, "--inclusive", inclusive,
+            ])
+            assert result.exit_code == 0, result.output
+        for name in ("discrimination.csv", "discrimination.svg", "discrimination_runs.json"):
+            one, two = (tmp_path / jobs / name for jobs in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name
+
     def test_seeds_flag_sets_n_seeds(self, runner, tmp_path):
         write_cfg(tmp_path / "c.yaml", DISC_CFG)
         result = runner.invoke(
@@ -517,6 +533,47 @@ class TestRejectedSweeps:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestRejectedRunValues:
+    """Values that validate passed but that ended the command in a traceback
+    (exit 1), or that ran a config other than the one recorded, stop at exit
+    2 with a message naming the key, before anything is written."""
+
+    @pytest.mark.parametrize(
+        "cfg,args,message",
+        [
+            # numpy: "expected non-negative integer"
+            (SAND_CFG, ["-s", "seed=-1"], "seed: expected a non-negative integer, got -1"),
+            (DISP_CFG, ["-s", "seeds=[-1]"], "seeds[0]: expected a non-negative integer, got -1"),
+            (DISC_CFG, ["--seeds", "2,-1"], "seeds[1]: expected a non-negative integer, got -1"),
+            # TypeError from Path(3)
+            (SAND_CFG, ["-s", "out_dir=3"], "out_dir: expected a directory path, got 3"),
+            (DISP_CFG, ["-s", "out_dir=[a]"], "out_dir: expected a directory path, got ['a']"),
+            # ran discrimination but recorded the hash of a dispersal config
+            (DISC_CFG, ["-s", "experiment=dispersal"],
+             "experiment: an override cannot change the experiment from 'discrimination' "
+             "to 'dispersal'"),
+        ],
+        ids=["sandbox-seed", "dispersal-seeds", "seeds-flag", "sandbox-out-dir",
+             "dispersal-out-dir", "experiment"],
+    )
+    def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, message):
+        write_cfg(tmp_path / "c.yaml", cfg)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(out), *args]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == f"Error: {message}"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_override_naming_the_same_experiment_passes(self, runner):
+        result = runner.invoke(
+            main,
+            ["validate", str(CONFIGS / "discrimination.yaml"), "-s", "experiment=discrimination"],
+        )
+        assert result.exit_code == 0, result.output
+
+
 class TestRejectedKeys:
     """Values that crashed with a traceback, or that a run silently ignored,
     stop at exit 2 with a message naming the key."""
@@ -612,10 +669,13 @@ class TestRejectedKeys:
 # for one bad value per key: a wrong type, and where the key has a range, a
 # value outside it. Every policy key is tried under every policy kind.
 VALIDATE_TABLE = [
-    ('discrimination.yaml', 'experiment=x', 0,
-     'OK: valid discrimination configuration (hash f036f879fcfb)'),
+    ('discrimination.yaml', 'experiment=x', 2,
+     "Error: experiment: an override cannot change the experiment from 'discrimination' to 'x'"),
     ('discrimination.yaml', 'seeds=x', 2, 'Error: seeds: expected a non-empty list of integers'),
     ('discrimination.yaml', 'seeds=[]', 2, 'Error: seeds: expected a non-empty list of integers'),
+    ('discrimination.yaml', 'seeds=[1,-1]', 2,
+     'Error: seeds[1]: expected a non-negative integer, got -1'),
+    ('discrimination.yaml', 'out_dir=3', 2, 'Error: out_dir: expected a directory path, got 3'),
     ('discrimination.yaml', 'steps_max=x', 2, "Error: steps_max: expected an integer, got 'x'"),
     ('discrimination.yaml', 'steps_max=0', 2, 'Error: need steps_max > window > 0'),
     ('discrimination.yaml', 'window=x', 2, "Error: window: expected an integer, got 'x'"),
@@ -677,6 +737,8 @@ VALIDATE_TABLE = [
      "Error: modes: entries must be 'inclusive' or 'baseline', got 'other'"),
     ('dispersal.yaml', 'edge_sampling=x', 2, "Error: edge_sampling: expected true/false, got 'x'"),
     ('sandbox.yaml', 'seed=x', 2, "Error: seed: expected an integer, got 'x'"),
+    ('sandbox.yaml', 'seed=-1', 2, 'Error: seed: expected a non-negative integer, got -1'),
+    ('sandbox.yaml', 'out_dir=3', 2, 'Error: out_dir: expected a directory path, got 3'),
     ('sandbox.yaml', 'steps=x', 2, "Error: steps: expected an integer, got 'x'"),
     ('sandbox.yaml', 'steps=-1', 2, 'Error: steps must be >= 0'),
     ('sandbox.yaml', 'genotype.loci=x', 2, "Error: genotype.loci: expected an integer, got 'x'"),

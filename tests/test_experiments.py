@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from kincoop.experiments import (
+    MAX_CHUNK_CELLS,
     ExperimentConfig,
     RunResult,
     SweepTask,
+    _group_tasks,
     aggregate,
     bin_by_similarity,
     cooperator_proportion,
@@ -50,6 +52,32 @@ def small_dispersal(**kwargs):
 
 
 SMALL = {"discrimination": small_discrimination, "dispersal": small_dispersal}
+
+
+def assert_same_result(got: RunResult, want: RunResult) -> None:
+    """Every field equal, arrays bit for bit with their dtypes."""
+    for field in dataclasses.fields(RunResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b and type(a) is type(b), field.name
+
+
+def both_modes(make, benefits=(2.0, 6.0, 12.0), **kwargs):
+    """One group: every benefit in both reward modes, modes interleaved."""
+    return tuple(
+        make(dilemma=DilemmaParams(benefit=b, cost=1.0), inclusive=inclusive, **kwargs)
+        for b in benefits
+        for inclusive in (True, False)
+    )
+
+
+def assert_group_equals_single(group, seed, run_single):
+    grouped = [run_experiment(cfg, seed, group) for cfg in group]
+    for cfg, res in zip(group, grouped):
+        assert_same_result(res, run_single(cfg, seed))
+    return grouped
 
 
 class TestConfigValidation:
@@ -231,9 +259,9 @@ class TestDispersalRunner:
 
 
 class TestDispersalGroups:
-    """Dispersal points that differ only in the dilemma share a network and a
-    random stream, so one pass learns them all; each point's result must be
-    bit-identical to a run of that point alone."""
+    """Dispersal points that differ only in the dilemma and the reward mode
+    share a network and a random stream, so one pass learns them all; each
+    point's result must be bit-identical to a run of that point alone."""
 
     GROUPS = {
         "dense-inclusive": dict(),
@@ -254,21 +282,20 @@ class TestDispersalGroups:
             small_dispersal(steps_max=300, dilemma=DilemmaParams(benefit=b, cost=1.0), **self.GROUPS[case])
             for b in (2.0, 6.0, 8.0, 12.0)
         )
-        grouped = [run_experiment(cfg, 1, group) for cfg in group]
-        for cfg, res in zip(group, grouped):
-            alone = run_dispersal(cfg, 1)
-            for field in dataclasses.fields(RunResult):
-                got, want = getattr(res, field.name), getattr(alone, field.name)
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), field.name
-                else:
-                    assert got == want and type(got) is type(want), field.name
+        grouped = assert_group_equals_single(group, 1, run_dispersal)
         stops = {res.converged_at for res in grouped}
         if case == "early-stop":
             # the freeze path: points of one group stop at different steps
             assert None not in stops and len(stops) >= 2
         else:
             assert stops == {None}
+
+    @pytest.mark.parametrize("sampling", [False, True], ids=["dense", "edge-sampling"])
+    def test_mixed_modes_equal_single(self, sampling):
+        group = both_modes(small_dispersal, steps_max=300, edge_sampling=sampling)
+        grouped = assert_group_equals_single(group, 2, run_dispersal)
+        # the modes differ, so the group did not just repeat one point
+        assert not np.array_equal(grouped[4].q_values, grouped[5].q_values)
 
     def test_members_must_differ_only_in_dilemma(self):
         cfg = small_dispersal(steps_max=300)
@@ -284,6 +311,178 @@ class TestDispersalGroups:
         again = run_experiment(group[0], 2, group)
         assert np.array_equal(first.q_values, again.q_values)
         assert np.array_equal(run_experiment(group[1], 2, group).q_values, run_dispersal(group[1], 2).q_values)
+
+
+class TestDiscriminationGroups:
+    """Discrimination points that differ only in the dilemma and the reward
+    mode draw the same stream on the same complete network: one pass learns
+    them all, each bit-identical to a run of that point alone."""
+
+    @pytest.mark.parametrize("self_play", [True, False], ids=["self-play", "no-self-play"])
+    def test_group_equals_single(self, self_play):
+        group = both_modes(
+            small_discrimination,
+            benefits=(4.0, 2.5, 10.0 / 7.0),
+            steps_max=300,
+            self_play=self_play,
+        )
+        grouped = assert_group_equals_single(group, 1, run_discrimination)
+        assert {res.converged_at for res in grouped} == {None}
+
+    def test_early_stop_points_stop_apart(self):
+        # epsilon reaches its floor near step 131; each point stops once its
+        # greedy policy has then held for a whole window
+        group = both_modes(
+            small_discrimination,
+            steps_max=400,
+            learner=LearnerConfig(decay=0.9, epsilon_min=1e-6),
+        )
+        grouped = assert_group_equals_single(group, 3, run_discrimination)
+        stops = [res.converged_at for res in grouped]
+        assert None not in stops and len(set(stops)) >= 2
+        assert [res.steps_run for res in grouped] == stops
+
+
+class TestGroupMembers:
+    """A strict subset of a group learns bit-identically; configs that
+    change the state mask, the stream or the budget never share a group."""
+
+    @pytest.mark.parametrize("kind", ["discrimination", "dispersal"])
+    def test_chunk_equals_single(self, kind):
+        group = both_modes(SMALL[kind], steps_max=300)
+        run_single = run_discrimination if kind == "discrimination" else run_dispersal
+        assert_group_equals_single((group[1], group[2], group[5]), 4, run_single)
+
+    @pytest.mark.parametrize(
+        "kind,change",
+        [
+            ("dispersal", dict(partition=PartitionSpec(8, 8, 9.0, 0.5))),
+            ("dispersal", dict(edge_sampling=True)),
+            ("dispersal", dict(steps_max=301)),
+            ("discrimination", dict(self_play=False)),
+            ("discrimination", dict(steps_max=301)),
+            ("discrimination", dict(kind="dispersal", partition=PartitionSpec(8, 8, 9.0, 0.1))),
+        ],
+        ids=["partition", "edge-sampling", "dispersal-steps-max", "self-play",
+             "discrimination-steps-max", "kind"],
+    )
+    def test_other_fields_refused(self, kind, change):
+        cfg = SMALL[kind](steps_max=300)
+        other = dataclasses.replace(cfg, inclusive=False, **change)
+        with pytest.raises(ValueError):
+            run_experiment(cfg, 1, (cfg, other))
+
+
+def sweep_tasks(make, seeds=(1,), **fields):
+    """``SweepTask``s over the cross product of the ``fields`` values, then
+    the seeds, in the CLI's order; a task's key holds its value indexes."""
+    tasks = [((), {})]
+    for name, values in fields.items():
+        tasks = [
+            (key + (i,), {**kw, name: value})
+            for key, kw in tasks
+            for i, value in enumerate(values)
+        ]
+    return [SweepTask(key, make(**kw), seed) for key, kw in tasks for seed in seeds]
+
+
+class TestGroupTasks:
+    """``_group_tasks`` on the benchmark's shapes: groups are halved until
+    the workers are busy, and chunks come largest first."""
+
+    DISC = dict(
+        space=GenotypeSpace(6, 2),
+        dilemma=[DilemmaParams(b, 1.0) for b in (4.0, 2.5, 10.0 / 7.0)],
+    )
+
+    @staticmethod
+    def dispersal(eta=0.1, boc=8.0, inclusive=True, nodes=(3, 8)):
+        loci, community_size = nodes
+        return small_dispersal(
+            space=GenotypeSpace(loci, 2),
+            partition=PartitionSpec(community_size, 2**loci, 9.0, eta),
+            dilemma=DilemmaParams(boc, 1.0),
+            inclusive=inclusive,
+        )
+
+    def chunk(self, tasks, jobs):
+        chunks = _group_tasks(tasks, jobs)
+        # a partition of the tasks, each chunk one group's
+        def order(task):
+            return task.key, task.seed
+
+        def group(task):
+            return dataclasses.replace(task.config, dilemma=None, inclusive=False), task.seed
+
+        assert sorted((t for c in chunks for t in c), key=order) == sorted(tasks, key=order)
+        assert all(len({group(t) for t in c}) == 1 for c in chunks)
+        return chunks
+
+    @pytest.mark.parametrize("jobs,sizes", [(1, [3]), (2, [2, 1]), (4, [1, 1, 1])])
+    def test_disc(self, jobs, sizes):
+        tasks = sweep_tasks(
+            lambda dilemma: small_discrimination(space=self.DISC["space"], dilemma=dilemma),
+            dilemma=self.DISC["dilemma"],
+        )
+        chunks = self.chunk(tasks, jobs)
+        assert [len(c) for c in chunks] == sizes
+        # a group splits into its first and its second half, in task order
+        assert [t.key for c in chunks for t in c] == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize(
+        "jobs,sizes,etas",
+        [(1, [12, 12, 12], [0.05, 0.1, 0.5]), (2, [12, 12, 6, 6], [0.1, 0.5, 0.05, 0.05])],
+    )
+    def test_disp(self, jobs, sizes, etas):
+        tasks = sweep_tasks(
+            self.dispersal, eta=(0.05, 0.1, 0.5), boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False)
+        )
+        chunks = self.chunk(tasks, jobs)
+        assert [len(c) for c in chunks] == sizes
+        assert [c[0].config.partition.eta for c in chunks] == etas
+
+    @pytest.mark.parametrize("jobs,sizes", [(1, [2]), (2, [1, 1])])
+    def test_disp_wide(self, jobs, sizes):
+        tasks = sweep_tasks(lambda inclusive: self.dispersal(inclusive=inclusive, nodes=(5, 32)),
+                            inclusive=(True, False))
+        assert [len(c) for c in self.chunk(tasks, jobs)] == sizes
+
+    @pytest.mark.parametrize(
+        "jobs,sizes",
+        [(1, [3] * 5), (2, [3, 3, 3, 3, 2, 1]), (5, [3] * 5)],
+    )
+    def test_multi_seed(self, jobs, sizes):
+        # the shipped discrimination sweep: 3 benefits at 5 seeds
+        tasks = sweep_tasks(lambda dilemma: small_discrimination(dilemma=dilemma),
+                            seeds=(1, 2, 3, 4, 5), dilemma=self.DISC["dilemma"])
+        chunks = self.chunk(tasks, jobs)
+        assert [len(c) for c in chunks] == sizes
+        assert [c[0].seed for c in chunks][:4] == ([2, 3, 4, 5] if jobs == 2 else [1, 2, 3, 4])
+
+    def test_acceptance_shapes(self):
+        disc = sweep_tasks(
+            lambda dilemma, inclusive: small_discrimination(dilemma=dilemma, inclusive=inclusive),
+            seeds=(1, 2, 3, 4, 5),
+            dilemma=self.DISC["dilemma"],
+            inclusive=(True, False),
+        )
+        assert [len(c) for c in self.chunk(disc, 2)] == [6, 6, 6, 6, 3, 3]
+        disp = sweep_tasks(self.dispersal, seeds=tuple(range(1, 11)), eta=(0.05, 0.1, 0.5),
+                           boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False))
+        assert [len(c) for c in self.chunk(disp, 2)] == [12] * 30
+
+    @pytest.mark.parametrize("loci,sizes", [(10, [1] * 6), (9, [3, 3]), (8, [6])])
+    def test_large_points_capped(self, loci, sizes):
+        # a chunk of six 1024-agent points would need six times a lone run's memory
+        tasks = sweep_tasks(
+            lambda dilemma, inclusive: small_discrimination(
+                space=GenotypeSpace(loci, 2), dilemma=dilemma, inclusive=inclusive
+            ),
+            dilemma=self.DISC["dilemma"], inclusive=(True, False),
+        )
+        chunks = self.chunk(tasks, 1)
+        assert [len(c) for c in chunks] == sizes
+        assert all(len(c) == 1 or len(c) * 4**loci <= MAX_CHUNK_CELLS for c in chunks)
 
 
 class TestDispersalMemory:
