@@ -554,14 +554,12 @@ def bin_by_similarity(result: RunResult, loci: int) -> dict[float, float]:
     """
     if result.state_mask is None:
         raise ValueError("similarity binning applies to discrimination results")
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    mask = result.state_mask
-    for i, j in zip(*np.nonzero(mask)):
-        k = int(round(result.similarity[i, j] * loci))
-        sums[k] = sums.get(k, 0.0) + float(result.coop_freq[i, j])
-        counts[k] = counts.get(k, 0) + 1
-    return {k / loci: sums[k] / counts[k] for k in sums}
+    cells = np.nonzero(result.state_mask)
+    matches = np.rint(result.similarity[cells] * loci).astype(np.intp)
+    # bincount adds the weights in input order, as a running float sum would
+    sums = np.bincount(matches, weights=result.coop_freq[cells])
+    counts = np.bincount(matches)
+    return {int(k) / loci: float(sums[k] / counts[k]) for k in np.flatnonzero(counts)}
 
 
 class AggregateRow(NamedTuple):

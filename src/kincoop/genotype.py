@@ -80,19 +80,23 @@ class MutationSpec:
             raise ValueError(f"mutation probability must be in [0, 1], got {self.mu}")
 
 
+def match_count(a: Genotype, b: Genotype) -> int:
+    """Number of loci at which two equal-length genotypes agree."""
+    if len(a) != len(b):
+        raise ValueError(
+            f"genotype lengths differ ({len(a)} vs {len(b)}); "
+            "unequal-length genotypes are not supported"
+        )
+    return sum(1 for x, y in zip(a.genes, b.genes) if x == y)
+
+
 def hamming_similarity(a: Genotype, b: Genotype) -> float:
     """Fraction of loci at which two equal-length genotypes agree.
 
     Equals 1 minus the normalized Hamming distance; 1.0 for identical
     genotypes, 0.0 when every locus differs.
     """
-    if len(a) != len(b):
-        raise ValueError(
-            f"genotype lengths differ ({len(a)} vs {len(b)}); "
-            "unequal-length genotypes are not supported"
-        )
-    matches = sum(1 for x, y in zip(a.genes, b.genes) if x == y)
-    return matches / len(a)
+    return match_count(a, b) / len(a)
 
 
 def similarity_matrix(genotypes: list[Genotype]) -> np.ndarray:
@@ -120,16 +124,6 @@ def enumerate_genotypes(space: GenotypeSpace) -> list[Genotype]:
         Genotype(genes)
         for genes in itertools.product(range(space.variants), repeat=space.loci)
     ]
-
-
-def genotype_index(space: GenotypeSpace, g: Genotype) -> int:
-    """Position of ``g`` in ``enumerate_genotypes(space)`` (mixed-radix value)."""
-    if not space.contains(g):
-        raise ValueError(f"genotype {g.to_string()} is not a member of {space}")
-    idx = 0
-    for v in g.genes:
-        idx = idx * space.variants + v
-    return idx
 
 
 def mutate(

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Protocol, TextIO
 
 import numpy as np
 
-from .genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity, mutate
+from .genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity, match_count, mutate
 from .ioutil import fmt
 from .learning import LearnerConfig, epsilon_at, q_update
 
@@ -90,54 +90,53 @@ class _MatchCounts:
 
     def __init__(self):
         self._ids: dict[Genotype, int] = {}
-        self._genes: list[tuple[int, ...]] = []
+        self._genotypes: list[Genotype] = []
         self._counts: list[dict[int, int]] = []
         self._sims: list[dict[int, float]] = []
 
     def index(self, g: Genotype) -> int:
         i = self._ids.get(g)
         if i is None:
-            i = self._ids[g] = len(self._genes)
-            self._genes.append(g.genes)
+            i = self._ids[g] = len(self._genotypes)
+            self._genotypes.append(g)
             self._counts.append({})
             self._sims.append({})
         return i
 
+    def census(self, state: PopulationState):
+        """Distinct genotypes of ``state``, their ids and copy counts, in ``Counter`` order."""
+        counts = Counter(g for _, g in state.alive)
+        return list(counts), [self.index(g) for g in counts], list(counts.values())
+
     def _fill(self, i: int, js: list[int]) -> None:
-        a, counts, sims = self._genes[i], self._counts[i], self._sims[i]
+        a, counts, sims = self._genotypes[i], self._counts[i], self._sims[i]
         for j in js:
             if j not in counts:
-                b = self._genes[j]
-                if len(a) != len(b):
-                    raise ValueError(
-                        f"genotype lengths differ ({len(a)} vs {len(b)}); "
-                        "unequal-length genotypes are not supported"
-                    )
-                m = sum(1 for x, y in zip(a, b) if x == y)
+                m = match_count(a, self._genotypes[j])
                 counts[j] = self._counts[j][i] = m
                 sims[j] = self._sims[j][i] = m / len(a)
 
-    def matches(self, i: int, js: list[int]) -> list[int]:
-        """Match counts of genotype ``i`` against each id in ``js``, in order."""
+    def _lookup(self, table: list[dict], i: int, js: list[int]) -> list:
         try:
-            return list(map(self._counts[i].__getitem__, js))
+            return list(map(table[i].__getitem__, js))
         except KeyError:
             self._fill(i, js)
-            return list(map(self._counts[i].__getitem__, js))
+            return list(map(table[i].__getitem__, js))
+
+    def matches(self, i: int, js: list[int]) -> list[int]:
+        """Match counts of genotype ``i`` against each id in ``js``, in order."""
+        return self._lookup(self._counts, i, js)
 
     def similarities(self, i: int, js: list[int]) -> list[float]:
         """Hamming similarities of genotype ``i`` to each id in ``js``, in order."""
-        try:
-            return list(map(self._sims[i].__getitem__, js))
-        except KeyError:
-            self._fill(i, js)
-            return list(map(self._sims[i].__getitem__, js))
+        return self._lookup(self._sims, i, js)
 
 
 def _step_rewards(
-    prev: PopulationState, curr: PopulationState, matches: _MatchCounts
+    curr: PopulationState, born: list[Genotype], died: list[Genotype], matches: _MatchCounts
 ) -> dict[int, RewardTriple]:
-    """All three rewards of every agent alive in ``curr``.
+    """All three rewards of every agent alive in ``curr``, given the genotypes
+    of the step's births and deaths in the order the trace records them.
 
     Agents that share a genotype share a reward, so each ``RewardTriple``
     is computed once per distinct genotype: O(G·(G + B + D)) similarity
@@ -147,19 +146,15 @@ def _step_rewards(
     go through the same left-to-right ``sum``, because a learning policy
     compares these values and a one-ulp change would alter its choices.
     """
-    counts = Counter(g for _, g in curr.alive)
-    prev_ids = {aid for aid, _ in prev.alive}
-    curr_ids = {aid for aid, _ in curr.alive}
-    alive = [matches.index(u) for u in counts]
-    copies = list(counts.values())
-    born = [matches.index(g) for aid, g in curr.alive if aid not in prev_ids]
-    died = [matches.index(g) for aid, g in prev.alive if aid not in curr_ids]
+    genotypes, alive, copies = matches.census(curr)
+    born_ids = [matches.index(g) for g in born]
+    died_ids = [matches.index(g) for g in died]
     by_genotype: dict[Genotype, RewardTriple] = {}
-    for g, i in zip(counts, alive):
+    for g, i in zip(genotypes, alive):
         sims = matches.similarities(i, alive)
         r_long = sum(sims)
         r_comb = sum(map(operator.mul, copies, sims))
-        r_repl = sum(matches.similarities(i, born)) - sum(matches.similarities(i, died))
+        r_repl = sum(matches.similarities(i, born_ids)) - sum(matches.similarities(i, died_ids))
         by_genotype[g] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
     return {aid: by_genotype[g] for aid, g in curr.alive}
 
@@ -404,7 +399,10 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         trace.births.append(tuple((c.agent_id, c.genotype) for c in newborns))
         trace.deaths.append(tuple(dead))
 
-        step_rewards = _step_rewards(trace.states[t - 1], state, matches)
+        # a newborn never dies in its birth step: its health is a positive share
+        step_rewards = _step_rewards(
+            state, [c.genotype for c in newborns], [g for _, g, _ in dead], matches
+        )
         trace.rewards.append(step_rewards)
         for aid, reproduced in decisions.items():
             if aid in step_rewards:
@@ -432,20 +430,15 @@ def replication_identity_error(trace: PopulationTrace) -> float:
     """
     matches = _MatchCounts()
 
-    def genotype_counts(state: PopulationState):
-        """Distinct genotypes of ``state``, their ids and copy counts, in Counter order."""
-        counts = Counter(g for _, g in state.alive)
-        return list(counts), [matches.index(g) for g in counts], list(counts.values())
-
     def combined_int(i: int, ids: list[int], copies: list[int]) -> int:
         return sum(map(operator.mul, copies, matches.matches(i, ids)))
 
     worst = 0.0
-    _, prev_ids, prev_copies = genotype_counts(trace.states[0])
+    _, prev_ids, prev_copies = matches.census(trace.states[0])
     prev_combined: dict[int, int] = {}
     for t in range(1, len(trace.states)):
         curr = trace.states[t]
-        genotypes, ids, copies = genotype_counts(curr)
+        genotypes, ids, copies = matches.census(curr)
         combined = {i: combined_int(i, ids, copies) for i in ids}
         delta: dict[Genotype, float] = {}
         for g, i in zip(genotypes, ids):

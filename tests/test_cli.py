@@ -850,7 +850,24 @@ VALIDATE_TABLE = [
      'Error: policy.decay: expected a number, got None'),
     ('sandbox.yaml', 'policy.kind=q policy.epsilon_min=2', 2,
      'Error: policy: epsilon_min must be in [0, epsilon0]'),
+    ('sandbox.yaml', 'initial_health=.inf', 2,
+     'Error: initial_health: expected a finite number, got inf'),
+    ('dispersal.yaml', 'partition.k_avg=.nan', 2,
+     'Error: partition.k_avg: expected a finite number, got nan'),
+    ('discrimination.yaml', 'learner.q_init=.inf', 2,
+     'Error: learner.q_init: expected a finite number, got inf'),
+    ('discrimination.yaml', 'dilemma.benefits=[4.0,.inf]', 2,
+     'Error: dilemma.benefits[1]: expected a finite number, got inf'),
 ]
+
+
+def test_integer_beyond_float_range_exits_2(runner):
+    big = "1" + "0" * 400
+    result = runner.invoke(
+        main, ["validate", str(CONFIGS / "sandbox.yaml"), "-s", f"initial_health={big}"]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"initial_health: expected a finite number, got {big}" in result.output
 
 
 @pytest.mark.parametrize(
@@ -865,27 +882,36 @@ def test_validate_table(runner, config, overrides, exit_code, last_line):
     assert (result.exit_code, result.output.strip().splitlines()[-1]) == (exit_code, last_line)
 
 
+def counting(calls, name, fn, results=None):
+    """``fn`` wrapped to count its calls in ``calls[name]`` and keep its results."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        result = fn(*args, **kwargs)
+        if results is not None:
+            results.append(result)
+        return result
+    return wrapper
+
+
 class TestProbedNames:
-    """The sweep commands call, at call time, the ``kincoop.cli`` names that
-    perfbench's probes replace, so the per-layer metrics see every call."""
+    """The commands call, at call time, the names that perfbench's probes
+    replace, so the per-layer metrics see every call."""
 
     NAMES = (
         "build_discrimination_plan", "build_dispersal_plan", "run_sweep", "line_chart",
         "write_atomic_json",
     )
+    SANDBOX_NAMES = {
+        kincoop.cli: ("run_sandbox", "replication_identity_error", "write_trace_csv",
+                      "write_rewards_csv"),
+        kincoop.popreward: ("mutate", "epsilon_at", "hamming_similarity"),
+    }
 
     @pytest.mark.parametrize("cfg", [DISC_CFG, DISP_CFG], ids=["discrimination", "dispersal"])
     def test_sweep_calls_each_probed_name(self, runner, tmp_path, monkeypatch, cfg):
         calls = dict.fromkeys(self.NAMES, 0)
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in self.NAMES:
-            monkeypatch.setattr(kincoop.cli, name, counting(name, getattr(kincoop.cli, name)))
+            monkeypatch.setattr(kincoop.cli, name, counting(calls, name, getattr(kincoop.cli, name)))
         write_cfg(tmp_path / "c.yaml", {**cfg, "seeds": [1], "plot": True})
         result = runner.invoke(
             main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
@@ -900,3 +926,34 @@ class TestProbedNames:
             # the runs sidecar, then the manifest
             "write_atomic_json": 2,
         }
+
+    def test_sandbox_calls_each_probed_name(self, runner, tmp_path, monkeypatch):
+        # the cross-checks of perfbench's traced sandbox run
+        calls, traces = {}, []
+        for module, names in self.SANDBOX_NAMES.items():
+            for name in names:
+                calls[name] = 0
+                wrapped = counting(
+                    calls, name, getattr(module, name), traces if name == "run_sandbox" else None
+                )
+                monkeypatch.setattr(module, name, wrapped)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["sandbox", str(CONFIGS / "sandbox.yaml"), "--out-dir", str(out),
+             "-s", "policy.kind=q", "-s", "steps=150"],
+        )
+        assert result.exit_code == 0, result.output
+        (trace,) = traces
+        assert trace.steps == 150
+        trace_csv = (out / "sandbox_trace.csv").read_text()
+        assert calls == {
+            "run_sandbox": 1,
+            "replication_identity_error": 1,
+            "write_trace_csv": 1,
+            "write_rewards_csv": 1,
+            "mutate": trace_csv.count(",birth\n"),
+            "epsilon_at": sum(trace.pop_before),
+            "hamming_similarity": 0,
+        }
+        assert calls["mutate"] > 0

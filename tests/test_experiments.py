@@ -206,6 +206,26 @@ class TestDiscriminationRunner:
             other = dict((k, m) for k, m, *_ in aggregate(t_flip))[key]
             assert abs(mean - other) <= 0.05
 
+    @pytest.mark.parametrize("zero_sims", [False, True])
+    def test_bins_equal_running_sums(self, zero_sims):
+        # a running float sum per lattice value over the masked cells in
+        # row-major order, which the binning must reproduce bit for bit
+        result = run_discrimination(small_discrimination(), 0)
+        rng = np.random.default_rng(5)
+        mask = result.state_mask & (rng.random(result.state_mask.shape) < 0.7)
+        similarity = np.where(rng.random(mask.shape) < 0.3, 0.0, result.similarity)
+        result = dataclasses.replace(
+            result, state_mask=mask, similarity=similarity if zero_sims else result.similarity
+        )
+        sums, counts = {}, {}
+        for i, j in zip(*np.nonzero(mask)):
+            k = int(round(result.similarity[i, j] * 3))
+            sums[k] = sums.get(k, 0.0) + float(result.coop_freq[i, j])
+            counts[k] = counts.get(k, 0) + 1
+        bins = bin_by_similarity(result, 3)
+        assert bins == {k / 3: sums[k] / counts[k] for k in sums}
+        assert all(type(v) is float for v in bins.values())
+
     def test_monotone_in_similarity(self):
         tables = [
             bin_by_similarity(run_discrimination(small_discrimination(), seed), 3)

@@ -8,8 +8,8 @@ from kincoop.genotype import (
     GenotypeSpace,
     MutationSpec,
     enumerate_genotypes,
-    genotype_index,
     hamming_similarity,
+    match_count,
     mutate,
     similarity_matrix,
 )
@@ -47,6 +47,12 @@ class TestHammingSimilarity:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             hamming_similarity(g(1, 0), g(1, 0, 1))
+
+    def test_match_count_counts_agreeing_loci(self):
+        assert match_count(g(1, 1, 0, 2), g(1, 0, 0, 1)) == 2
+        assert match_count(g(1, 0, 1), g(0, 1, 0)) == 0
+        with pytest.raises(ValueError, match="lengths differ"):
+            match_count(g(1, 0), g(1, 0, 1))
 
     @given(genotypes_pairs)
     def test_symmetry(self, pair):
@@ -114,11 +120,6 @@ class TestGenotypeSpace:
             GenotypeSpace(0, 2)
         with pytest.raises(ValueError):
             GenotypeSpace(3, 1)
-
-    def test_genotype_index_matches_enumeration(self):
-        space = GenotypeSpace(3, 3)
-        for i, x in enumerate(enumerate_genotypes(space)):
-            assert genotype_index(space, x) == i
 
 
 class TestMutate:

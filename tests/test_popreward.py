@@ -402,13 +402,10 @@ class TestRewardIdentities:
                 )
 
 
-def oracle_step_rewards(prev, curr, _matches=None):
-    """Per-agent rewards summed over ``hamming_similarity`` in ``Counter`` order."""
+def oracle_event_rewards(curr, born, died, _matches=None):
+    """Per-agent rewards summed over ``hamming_similarity`` in ``Counter`` order,
+    with the step's births and deaths given as genotypes, as ``_step_rewards`` takes them."""
     counts = Counter(geno for _, geno in curr.alive)
-    prev_ids = {aid for aid, _ in prev.alive}
-    curr_ids = {aid for aid, _ in curr.alive}
-    born = [geno for aid, geno in curr.alive if aid not in prev_ids]
-    died = [geno for aid, geno in prev.alive if aid not in curr_ids]
     rewards = {}
     for aid, me in curr.alive:
         r_long = sum(hamming_similarity(me, u) for u in counts)
@@ -418,6 +415,15 @@ def oracle_step_rewards(prev, curr, _matches=None):
         )
         rewards[aid] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
     return rewards
+
+
+def oracle_step_rewards(prev, curr):
+    """``oracle_event_rewards`` with the births and deaths read off the two states' ids."""
+    prev_ids = {aid for aid, _ in prev.alive}
+    curr_ids = {aid for aid, _ in curr.alive}
+    born = [geno for aid, geno in curr.alive if aid not in prev_ids]
+    died = [geno for aid, geno in prev.alive if aid not in curr_ids]
+    return oracle_event_rewards(curr, born, died)
 
 
 POLICIES = {
@@ -437,7 +443,9 @@ class TestRewardsBitExact:
 
     The reference run swaps in the per-agent oracle for the step rewards,
     so for the Q policies it also checks that every reward fed back to the
-    learner, and every choice it made from them, is unchanged.
+    learner, and every choice it made from them, is unchanged. Every step
+    is also checked against the oracle fed from the states alone, so the
+    recorded births and deaths cannot drift from the state ids unseen.
     """
 
     def make_config(self, policy, mu):
@@ -456,7 +464,7 @@ class TestRewardsBitExact:
     def test_rewards_equal_per_agent_oracle(self, policy, mu, monkeypatch):
         trace = run_sandbox(self.make_config(POLICIES[policy](), mu), np.random.default_rng(4))
         with monkeypatch.context() as patch:
-            patch.setattr(popreward, "_step_rewards", oracle_step_rewards)
+            patch.setattr(popreward, "_step_rewards", oracle_event_rewards)
             reference = run_sandbox(
                 self.make_config(POLICIES[policy](), mu), np.random.default_rng(4)
             )
@@ -464,6 +472,23 @@ class TestRewardsBitExact:
         assert trace.states == reference.states
         assert trace.healths == reference.healths
         assert trace.rewards == reference.rewards
+        for t in range(1, len(trace.states)):
+            assert trace.rewards[t - 1] == oracle_step_rewards(trace.states[t - 1], trace.states[t])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_events_equal_state_diffs(self, policy, mu):
+        trace = run_sandbox(self.make_config(POLICIES[policy](), mu), np.random.default_rng(4))
+        assert trace.steps > 10
+        assert any(trace.births) and any(trace.deaths)
+        for t in range(1, len(trace.states)):
+            prev, curr = trace.states[t - 1].alive, trace.states[t].alive
+            prev_ids = {aid for aid, _ in prev}
+            curr_ids = {aid for aid, _ in curr}
+            assert list(trace.births[t - 1]) == [p for p in curr if p[0] not in prev_ids]
+            assert [(aid, geno) for aid, geno, _ in trace.deaths[t - 1]] == [
+                p for p in prev if p[0] not in curr_ids
+            ]
 
     def test_large_space_stays_sparse(self):
         # 4**40 genotypes: only the pairs that meet may be tabulated
