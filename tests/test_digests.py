@@ -10,10 +10,15 @@ numpy's pairwise order. The early-stop cases at the end pin the results of
 points that stop before ``steps_max``, recorded before the learning kernel
 dropped its stored window of greedy snapshots. The output cases pin the
 SVG chart and the ``*_runs.json`` sidecar of each sweep command as well.
+The override-network dispersal groups (edgeless, and with isolated nodes
+trailing the edge list) and the discrimination groups under a mixed-sign
+similarity override were recorded before the pair rewards of every path
+moved to one table.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -26,6 +31,8 @@ from kincoop.cli import main
 from kincoop.config import config_hash, load_config_file, resolve_config
 from kincoop.experiments import (
     ExperimentConfig,
+    _run_discrimination_group,
+    _run_dispersal_group,
     run_discrimination,
     run_dispersal,
     run_experiment,
@@ -298,17 +305,42 @@ IRREGULAR_DISPERSAL = {
     (135, "edge-sampling"): "3186b4506a1be3532f2a53d90170eaaba278afc41b92e7db341f5552252e4008",
     (135, "override-inclusive"): "53d19cedaa1cc37db182b7029077c1f741893cb946ed5958d3ca458ecaaa35a4",
     (135, "override-baseline"): "ec35c6d26f8d54a059fb8021b376202a8973763f2427a1c7f7b05318b9ce9fdc",
+    (135, "edgeless-inclusive"): "6f015d43120c34cbe0ef5c0b6e9892a498174dfabc008e5490ba4730e186e714",
+    (135, "edgeless-baseline"): "6f015d43120c34cbe0ef5c0b6e9892a498174dfabc008e5490ba4730e186e714",
+    (135, "edgeless-edge-sampling"): "6f015d43120c34cbe0ef5c0b6e9892a498174dfabc008e5490ba4730e186e714",
+    (135, "edgeless-edge-sampling-baseline"): "6f015d43120c34cbe0ef5c0b6e9892a498174dfabc008e5490ba4730e186e714",
+    (135, "trailing-inclusive"): "007e7bff9f173160731925e790f8dcfb072eb7e9f911dc174cabc7ad56035412",
+    (135, "trailing-baseline"): "ce6ccf04ddab262550ab24c9b0fc4d376ecf87ff032bb773d7c9b542aa75eaaf",
+    (135, "trailing-edge-sampling"): "bf2267367369efaa47110eaff630cc564ef288979468398e41f18abec3a35edd",
+    (135, "trailing-edge-sampling-baseline"): "d80cc15952d7ac06599204823958a943bef952de57a98d658686500a1f745f09",
     (992, "inclusive"): "b69e7a4c654be03c38a7115090aa3e756d4621b01f865bb20a5f46364ef3a942",
     (992, "baseline"): "0e2ae455573caf9cdbca30d176692f8fdf781dffb779c36575b2f0f28ec3116d",
     (992, "edge-sampling"): "bf8fa9085620bc5537855595a887c6cee4f5f81ef7b95949f046979a667d3375",
 }
+# A mode is a reward mode, optionally after the name of an override network.
 IRREGULAR_MODES = {
     "inclusive": dict(),
     "baseline": dict(inclusive=False),
     "edge-sampling": dict(edge_sampling=True),
-    "override-inclusive": dict(),
-    "override-baseline": dict(inclusive=False),
+    "edge-sampling-baseline": dict(edge_sampling=True, inclusive=False),
 }
+# isolated nodes per override network
+OVERRIDE_ISOLATED = {"override": 20, "edgeless": 135, "trailing": 24}
+
+
+def override_network(space, community_size, name):
+    """A draw sparse enough to leave nodes without neighbours ("override"),
+    the same nodes without edges ("edgeless"), or the draw without the edges
+    of its last five nodes, so that isolated nodes trail the edge list
+    ("trailing")."""
+    net = build_partition_network_with_probs(
+        community_size, enumerate_genotypes(space), 0.1, 0.006, np.random.default_rng(11)
+    )
+    if name == "edgeless":
+        return dataclasses.replace(net, edges=np.zeros((0, 2), dtype=np.int64))
+    if name == "trailing":
+        return dataclasses.replace(net, edges=net.edges[net.edges[:, 1] < net.node_count - 5])
+    return net
 
 
 @pytest.mark.parametrize(
@@ -316,6 +348,9 @@ IRREGULAR_MODES = {
 )
 def test_irregular_size_dispersal_digests(nodes, mode):
     space, community_size = IRREGULAR_SIZES[nodes]
+    network, _, reward = mode.partition("-")
+    if network not in OVERRIDE_ISOLATED:
+        network, reward = None, mode
     group = tuple(
         ExperimentConfig(
             kind="dispersal",
@@ -325,22 +360,53 @@ def test_irregular_size_dispersal_digests(nodes, mode):
             steps_max=150,
             window=50,
             partition=PartitionSpec(community_size, space.size, 9.0, 0.1),
-            **IRREGULAR_MODES[mode],
+            **IRREGULAR_MODES[reward],
         )
         for benefit in (2.0, 5.0, 12.0)
     )
-    if mode.startswith("override"):
-        # sparse enough to leave nodes without neighbours
-        net = build_partition_network_with_probs(
-            community_size, enumerate_genotypes(space), 0.1, 0.006, np.random.default_rng(11)
-        )
-        results = [run_dispersal(cfg, 3, network_override=net) for cfg in group]
-        assert results[0].isolated_count == 20
+    if network is not None:
+        net = override_network(space, community_size, network)
+        results = _run_dispersal_group(group, 3, network_override=net)
+        assert results[0].isolated_count == OVERRIDE_ISOLATED[network]
     else:
         results = [run_experiment(cfg, 3, group) for cfg in group]
     assert all(res.coop_freq.shape == (nodes,) for res in results)
     digest = hashlib.sha256("".join(learned_digest(res) for res in results).encode()).hexdigest()
     assert digest == IRREGULAR_DISPERSAL[nodes, mode]
+
+
+# sha256 of a discrimination group of three dilemmas in both reward modes
+# under an asymmetric similarity override with negative entries and a -0.0,
+# per self-play flag
+OVERRIDE_DISCRIMINATION = {
+    True: "388bc068d8c524f85b020e6bc8020660fca41a318181e051acfa79da3c83659c",
+    False: "eb6696afa76ea02842dba94d6a302a78c6d3f4fc6c5b80588b7d1a74a6e53d3d",
+}
+
+
+@pytest.mark.parametrize("self_play", sorted(OVERRIDE_DISCRIMINATION), ids=str)
+def test_override_discrimination_group_digests(self_play):
+    space = GenotypeSpace(4, 2)
+    override = np.random.default_rng(13).uniform(-1.0, 1.0, (space.size, space.size))
+    override[0, 1] = -0.0
+    group = tuple(
+        ExperimentConfig(
+            kind="discrimination",
+            space=space,
+            dilemma=DilemmaParams(benefit, 1.0),
+            learner=LearnerConfig(),
+            steps_max=300,
+            window=50,
+            inclusive=inclusive,
+            self_play=self_play,
+        )
+        for benefit in (2.0, 5.0, 12.0)
+        for inclusive in (True, False)
+    )
+    results = _run_discrimination_group(group, 3, similarity_override=override)
+    assert np.signbit(results[0].similarity[0, 1])
+    digest = hashlib.sha256("".join(learned_digest(res) for res in results).encode()).hexdigest()
+    assert digest == OVERRIDE_DISCRIMINATION[self_play]
 
 
 # EARLY_STOP as a learner: epsilon reaches its 1e-6 floor near step 131, and
