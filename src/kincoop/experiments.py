@@ -26,10 +26,14 @@ slots per point (8·N below 128 nodes); no N x N array is built unless a
 similarity override is given.
 
 Optionally each reward credits the opponent's payoff weighted by genetic
-similarity. Randomness is consumed in fixed-shape blocks every step, so
-two runs that differ only in reward wiring draw identical streams; that
-is what makes the zero-similarity override produce bit-identical results
-for the weighted and unweighted variants under a shared seed.
+similarity w: ``w * pm[other, own] + pm[own, other]``, written once, in
+``_pair_table``. A group tables it per point, action pair and weight (per
+distinct similarity in discrimination, per directed edge in dispersal), so
+every reward path is an index computation and one ``np.take``.
+Randomness is consumed in fixed-shape blocks every step, so two runs that
+differ only in reward wiring draw identical streams; that is what makes
+the zero-similarity override produce bit-identical results for the
+weighted and unweighted variants under a shared seed.
 
 The same fact lets the kernel learn several parameter points at once. Its
 value tables carry a leading axis of P points; each step's draws are made
@@ -41,10 +45,10 @@ of either kind whose configs differ only in ``dilemma`` and ``inclusive``
 and share a seed: one group per (eta, seed) for dispersal, one per seed
 for discrimination. A group builds its network and similarity once, and
 its points share them, the random stream and every step's draws; each
-point has its own payoff matrix and similarity weights, 0.0 for a
-baseline point. That is exact: ``pm + 0.0 * x == pm``, as no payoff entry
-is -0.0. Any subset of a group learns bit-identically too, so the sweep
-halves groups to keep its workers busy (see ``_group_tasks``).
+point has its own rows of the pair table, with weight 0.0 for a baseline
+point. That is exact: ``pm + 0.0 * x == pm``, as no payoff entry is -0.0.
+Any subset of a group learns bit-identically too, so the sweep halves
+groups to keep its workers busy (see ``_group_tasks``).
 
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
@@ -354,15 +358,17 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
         raise ValueError("grouped configs may differ only in dilemma and inclusive")
 
 
-def _point_weights(configs: Sequence[ExperimentConfig], sim: np.ndarray) -> Optional[np.ndarray]:
-    """Each point's similarity weights, with a leading point axis: ``sim``
-    for an inclusive point and 0.0 for a baseline one, or ``None`` when no
-    point is inclusive. ``pm + 0.0 * x == pm`` because no payoff entry is
-    -0.0, so a baseline point's reward is its own payoff bit for bit."""
-    inclusive = np.array([config.inclusive for config in configs])
-    if not inclusive.any():
-        return None
-    return np.where(inclusive.reshape((-1,) + (1,) * sim.ndim), sim, 0.0)
+def _pair_table(configs: Sequence[ExperimentConfig], weights: np.ndarray) -> np.ndarray:
+    """Each point's kin-weighted pair reward per action pair and weight:
+    ``table[p, 2 * a_own + a_other, k]`` is ``w * pm[a_other, a_own] +
+    pm[a_own, a_other]`` for point ``p``'s payoff matrix ``pm``, where ``w`` is
+    ``weights[k]`` for an inclusive point and 0.0 for a baseline one.
+    ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so a baseline
+    point's reward is its own payoff bit for bit."""
+    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
+    inclusive = np.array([c.inclusive for c in configs])[:, None, None]
+    w = np.where(inclusive, weights, 0.0)
+    return w * pms.swapaxes(1, 2).reshape(-1, 4, 1) + pms.reshape(-1, 4, 1)
 
 
 def _run_discrimination_group(
@@ -387,21 +393,24 @@ def _run_discrimination_group(
     sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-    weights = _point_weights(configs, weights)
+    # One table column per distinct weight; cell (i, j) of point p reads
+    # column ``offset[p, i, j]`` of the action pair's row.
+    values, column = np.unique(weights, return_inverse=True)
+    table = _pair_table(configs, values).ravel()
+    n_points, n_values = len(configs), len(values)
+    offset = column.reshape(weights.shape) + 4 * n_values * np.arange(n_points)[:, None, None]
+    del weights, column
     state_mask = np.ones((n_agents, n_agents), dtype=bool)
     if not config.self_play:
         np.fill_diagonal(state_mask, False)
-    n_points = len(configs)
-    pms = np.stack([payoff_matrix(c.dilemma) for c in configs]).ravel()  # [point, own, other]
-    at = 4 * np.arange(n_points)[:, None, None]
 
     def reward_fn(acts: np.ndarray) -> np.ndarray:
         own = acts.astype(np.intp)
         index = own + own
         index += own.swapaxes(-1, -2)
-        index += at
-        payoff = np.take(pms, index)  # payoff[p, i, j]: i's individual payoff vs j
-        return payoff if weights is None else payoff + weights * payoff.swapaxes(-1, -2)
+        index *= n_values
+        index += offset
+        return np.take(table, index)  # [p, i, j]: i's reward for its game with j
 
     learned = _learn(config, state_mask, reward_fn, np.random.default_rng(seed), n_points)
     return [
@@ -440,27 +449,25 @@ def _run_dispersal_group(
     agent, nbr = agent[by_agent], nbr[by_agent]
     nbr_count = np.bincount(agent, minlength=n_agents)
     has_neighbors = nbr_count > 0
-    edge_sim = _point_weights(configs, _edge_similarity(net, similarity_override, agent, nbr))
-    n_points = len(configs)
-    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
+    # Each edge's pair rewards, then a zero-similarity column where the pick
+    # of an isolated agent after the last edge lands; the kernel masks its
+    # update.
+    edge_sim = _edge_similarity(net, similarity_override, agent, nbr)
+    n_points, n_cols = len(configs), len(agent) + 1
+    table = _pair_table(configs, np.append(edge_sim, 0.0)).ravel()
 
     if config.edge_sampling:
-        # Neighbor lists in CSR form. The trailing pad keeps an isolated
-        # agent's empty slice indexable; the kernel masks its update.
-        point = np.arange(n_points)[:, None]
+        # Neighbor lists in CSR form; only each agent's picked pair is evaluated.
         nbr_index = np.append(nbr, 0)
-        pick_sim = None if edge_sim is None else np.pad(edge_sim, ((0, 0), (0, 1)))
         nbr_start = np.cumsum(nbr_count) - nbr_count
+        point_at = 4 * n_cols * np.arange(n_points)[:, None]
 
-        # Only each agent's picked pair is evaluated.
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
             pick = nbr_start + (picks * nbr_count).astype(np.intp)
-            partner_acts = acts[:, nbr_index[pick]]
-            payoff = pms[point, acts, partner_acts]
-            if pick_sim is None:
-                return payoff
-            return payoff + pick_sim[:, pick] * pms[point, partner_acts, acts]
+            own = acts.astype(np.intp)
+            index = (own + own + own[:, nbr_index[pick]]) * n_cols + pick + point_at
+            return np.take(table, index)
 
     else:
         # The mean over neighbours is the row sum of the dense (agent,
@@ -469,26 +476,13 @@ def _run_dispersal_group(
         row_sum = PairwiseRowSum(agent, nbr, n_agents, n_agents, n_points)
         at, e = row_sum.point * n_agents, row_sum.term
         own_at, other_at = at + agent[e], at + nbr[e]
-        # Each edge's pair reward for the four action pairs, filled once:
-        # table[p, 2 * a_own + a_other, e] is the float expression
-        # sim_p * pm_p[a_other, a_own] + pm_p[a_own, a_other], or
-        # pm_p[a_own, a_other] when no point is inclusive.
-        n_edges = len(agent)
-        table = np.empty((n_points, 4, n_edges))
-        for a_own in (0, 1):
-            for a_other in (0, 1):
-                payoff = pms[:, a_own, a_other, None]
-                if edge_sim is not None:
-                    payoff = edge_sim * pms[:, a_other, a_own, None] + payoff
-                table[:, 2 * a_own + a_other] = payoff
-        table = table.ravel()
-        lookup = row_sum.point * 4 * n_edges + e
+        lookup = row_sum.point * 4 * n_cols + e
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
-            # intp before the product: int8 actions would wrap at n_edges
+            # intp before the product: int8 actions would wrap at n_cols
             scaled = acts.astype(np.intp).ravel()
-            scaled *= n_edges
+            scaled *= n_cols
             index = np.take(scaled, own_at)
             index += index
             index += np.take(scaled, other_at)

@@ -10,6 +10,7 @@ from kincoop.experiments import (
     RunResult,
     SweepTask,
     _group_tasks,
+    _pair_table,
     aggregate,
     bin_by_similarity,
     cooperator_proportion,
@@ -18,7 +19,7 @@ from kincoop.experiments import (
     run_experiment,
     run_sweep,
 )
-from kincoop.games import DilemmaParams
+from kincoop.games import DilemmaParams, payoff_matrix, transformed_matrix
 from kincoop.genotype import Genotype, GenotypeSpace, enumerate_genotypes
 from kincoop.learning import LearnerConfig
 from kincoop.networks import InfeasiblePartitionError, PartitionSpec
@@ -363,6 +364,26 @@ class TestDiscriminationGroups:
         assert [res.steps_run for res in grouped] == stops
 
 
+class TestPairTable:
+    """The one kin-weighted pair-reward table against the closed form of
+    the relatedness-weighted game, at every similarity lattice value."""
+
+    @pytest.mark.parametrize("loci", [1, 3, 8])
+    @pytest.mark.parametrize("benefit,cost", [(2.0, 1.0), (4.0, 1.0), (3.7, 0.3), (12.0, 5.0)])
+    def test_columns_are_the_transformed_game(self, loci, benefit, cost):
+        dilemma = DilemmaParams(benefit, cost)
+        lattice = np.arange(loci + 1) / loci
+        table = _pair_table(
+            [small_discrimination(dilemma=dilemma, inclusive=inc) for inc in (True, False)],
+            lattice,
+        )
+        assert table.shape == (2, 4, loci + 1)
+        for k, h in enumerate(lattice):
+            assert np.allclose(table[0, :, k].reshape(2, 2), transformed_matrix(dilemma, h))
+            # a baseline point's rewards are its payoffs, bit for bit
+            assert table[1, :, k].tobytes() == payoff_matrix(dilemma).tobytes()
+
+
 class TestGroupMembers:
     """A strict subset of a group learns bit-identically; configs that
     change the state mask, the stream or the budget never share a group."""
@@ -549,6 +570,20 @@ class TestDiscriminationMemory:
             tracemalloc.stop()
         assert result.coop_freq.shape == (128, 128)
         assert peak < 50 * 128 * 128 * 8  # bytes of 50 float64 128 x 128 tables
+
+    def test_group_peak_below_per_cell_weights(self):
+        # 6 points x 256 x 256 cells. Rewards that multiply a (P, N, N) float
+        # weight array every step peaked at 36.8 MiB; a (P, 4, N, N) reward
+        # table per cell would add 12 MiB to that.
+        group = both_modes(small_discrimination, space=GenotypeSpace(8, 2), steps_max=20, window=10)
+        tracemalloc.start()
+        try:
+            results = [run_experiment(cfg, 1, group) for cfg in group]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results[0].coop_freq.shape == (256, 256)
+        assert peak < 35 * 2**20
 
 
 class TestAggregate:
