@@ -68,7 +68,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .games import DilemmaParams, payoff_matrix
-from .genotype import Genotype, GenotypeSpace, enumerate_genotypes, similarity_matrix
+from .genotype import MAX_ENUMERABLE, Genotype, GenotypeSpace, enumerate_genotypes, similarity_matrix
 from .learning import LearnerConfig, epsilon_at, q_update, resolve_decay
 from .networks import (
     NetworkTopology,
@@ -121,14 +121,19 @@ class ExperimentConfig:
 
     def validate_feasible(self) -> None:
         """Raise before any simulation if the config cannot be run."""
+        # before the size is formatted or made a float: it may have thousands of digits
+        if self.space.size > MAX_ENUMERABLE:
+            raise ValueError(
+                f"genotype: variants^loci = {self.space.variants}^{self.space.loci} "
+                f"exceeds the {MAX_ENUMERABLE} genotypes that can be enumerated"
+            )
         if self.kind == "dispersal":
             derive_partition_probs(self.partition)
-        else:
-            if self.space.size > MAX_DISCRIMINATION_AGENTS:
-                raise ValueError(
-                    f"complete network over {self.space.size} genotypes exceeds "
-                    f"the {MAX_DISCRIMINATION_AGENTS}-agent limit"
-                )
+        elif self.space.size > MAX_DISCRIMINATION_AGENTS:
+            raise ValueError(
+                f"complete network over {self.space.size} genotypes exceeds "
+                f"the {MAX_DISCRIMINATION_AGENTS}-agent limit"
+            )
 
 
 @dataclass

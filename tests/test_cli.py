@@ -685,6 +685,8 @@ VALIDATE_TABLE = [
     ('discrimination.yaml', 'genotype.loci=0', 2, 'Error: genotype: loci must be >= 1'),
     ('discrimination.yaml', 'genotype.loci=11', 2,
      'Error: complete network over 2048 genotypes exceeds the 1024-agent limit'),
+    ('discrimination.yaml', 'genotype.loci=100000', 2,
+     'Error: genotype: variants^loci = 2^100000 exceeds the 1048576 genotypes that can be enumerated'),
     ('discrimination.yaml', 'genotype.variants=x', 2,
      "Error: genotype.variants: expected an integer, got 'x'"),
     ('discrimination.yaml', 'genotype.variants=1', 2, 'Error: genotype: variants must be >= 2'),
@@ -717,6 +719,10 @@ VALIDATE_TABLE = [
     ('discrimination.yaml', 'jobs=-1', 2,
      'Error: jobs: expected 0 (all cores) or a positive count, got -1'),
     ('discrimination.yaml', 'plot=x', 2, "Error: plot: expected true/false, got 'x'"),
+    ('dispersal.yaml', 'genotype.loci=21', 2,
+     'Error: genotype: variants^loci = 2^21 exceeds the 1048576 genotypes that can be enumerated'),
+    ('dispersal.yaml', 'genotype.loci=100000', 2,
+     'Error: genotype: variants^loci = 2^100000 exceeds the 1048576 genotypes that can be enumerated'),
     ('dispersal.yaml', 'partition.community_size=x', 2,
      "Error: partition.community_size: expected an integer, got 'x'"),
     ('dispersal.yaml', 'partition.community_size=1', 2, 'Error: community_size must be >= 2'),
