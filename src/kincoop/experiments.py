@@ -398,8 +398,8 @@ def _run_discrimination_group(
     sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-    # One table column per distinct weight; cell (i, j) of point p reads
-    # column ``offset[p, i, j]`` of the action pair's row.
+    # One table column per distinct weight; ``offset[p, i, j]`` is cell (i, j)'s
+    # flat index into point p's rows, at action-pair row 0.
     values, column = np.unique(weights, return_inverse=True)
     table = _pair_table(configs, values).ravel()
     n_points, n_values = len(configs), len(values)
