@@ -11,8 +11,10 @@ from .genotype import (
     GenotypeSpace,
     MutationSpec,
     enumerate_genotypes,
+    format_genotype,
     hamming_similarity,
     mutate,
+    parse_genotype,
     similarity_matrix,
 )
 from .learning import (

@@ -25,7 +25,7 @@ import yaml
 
 from .experiments import ExperimentConfig
 from .games import DilemmaParams
-from .genotype import Genotype, GenotypeSpace, MutationSpec
+from .genotype import GenotypeSpace, MutationSpec, parse_genotype
 from .learning import LearnerConfig
 from .networks import PartitionSpec
 from .popreward import (
@@ -433,10 +433,10 @@ def build_sandbox_plan(resolved: dict) -> SandboxPlan:
     space = _build_space(resolved)
     raw_genotype = resolved["initial_genotype"]
     if raw_genotype is None:
-        initial = Genotype(tuple(0 for _ in range(space.loci)))
+        initial = (0,) * space.loci
     else:
         with _naming("initial_genotype"):
-            initial = Genotype.from_string(str(raw_genotype))
+            initial = parse_genotype(str(raw_genotype))
     with _naming("mutation.mu"):
         mutation = MutationSpec(_as_float(resolved["mutation"]["mu"], "mutation.mu"))
     with _naming():  # each SandboxConfig message starts with its field's name

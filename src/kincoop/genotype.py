@@ -1,4 +1,8 @@
-"""Genotypes, the genotype space, Hamming similarity, and mutation."""
+"""Genotypes, the genotype space, Hamming similarity, and mutation.
+
+A genotype is a plain tuple of ints, one gene variant per locus: ``(1, 1, 0, 1)``
+is ``1-1-0-1`` in configs and CSV files (``format_genotype``, ``parse_genotype``).
+"""
 
 from __future__ import annotations
 
@@ -11,41 +15,20 @@ import numpy as np
 # sensible experiment and the enumeration would not fit a memory budget.
 MAX_ENUMERABLE = 2**20
 
+Genotype = tuple[int, ...]
 
-@dataclass(frozen=True)
-class Genotype:
-    """A fixed-length sequence of gene-variant identifiers."""
 
-    genes: tuple[int, ...]
+def format_genotype(g: Genotype) -> str:
+    """Serialize as hyphen-joined integers, e.g. "1-1-0-1"."""
+    return "-".join(map(str, g))
 
-    def __post_init__(self):
-        if len(self.genes) == 0:
-            raise ValueError("genotype must have at least one locus")
-        if any((not isinstance(g, (int, np.integer))) or g < 0 for g in self.genes):
-            raise ValueError("gene variants must be non-negative integers")
-        # normalize numpy ints so equality and hashing are type-stable
-        object.__setattr__(self, "genes", tuple(int(g) for g in self.genes))
 
-    def __len__(self) -> int:
-        return len(self.genes)
-
-    def __iter__(self):
-        return iter(self.genes)
-
-    def __getitem__(self, k: int) -> int:
-        return self.genes[k]
-
-    def to_string(self) -> str:
-        """Serialize as hyphen-joined integers, e.g. "1-1-0-1"."""
-        return "-".join(str(g) for g in self.genes)
-
-    @classmethod
-    def from_string(cls, text: str) -> "Genotype":
-        try:
-            genes = tuple(int(part) for part in text.strip().split("-"))
-        except ValueError as exc:
-            raise ValueError(f"malformed genotype string {text!r}") from exc
-        return cls(genes)
+def parse_genotype(text: str) -> Genotype:
+    """Inverse of ``format_genotype``; empty text or an empty or negative gene is malformed."""
+    try:
+        return tuple(int(part) for part in text.strip().split("-"))
+    except ValueError as exc:
+        raise ValueError(f"malformed genotype string {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -66,7 +49,10 @@ class GenotypeSpace:
         return self.variants**self.loci
 
     def contains(self, g: Genotype) -> bool:
-        return len(g) == self.loci and all(0 <= v < self.variants for v in g)
+        """Whether ``g`` is a tuple of ``loci`` Python ints in ``[0, variants)``."""
+        return type(g) is tuple and len(g) == self.loci and all(
+            type(v) is int and 0 <= v < self.variants for v in g
+        )
 
 
 @dataclass(frozen=True)
@@ -87,7 +73,7 @@ def match_count(a: Genotype, b: Genotype) -> int:
             f"genotype lengths differ ({len(a)} vs {len(b)}); "
             "unequal-length genotypes are not supported"
         )
-    return sum(1 for x, y in zip(a.genes, b.genes) if x == y)
+    return sum(1 for x, y in zip(a, b) if x == y)
 
 
 def hamming_similarity(a: Genotype, b: Genotype) -> float:
@@ -109,7 +95,7 @@ def similarity_matrix(genotypes: list[Genotype]) -> np.ndarray:
     n = len(genotypes[0])
     if any(len(g) != n for g in genotypes):
         raise ValueError("all genotypes must have the same length")
-    arr = np.array([g.genes for g in genotypes], dtype=np.int64)
+    arr = np.array(genotypes, dtype=np.int64)
     return (arr[:, None, :] == arr[None, :, :]).mean(axis=2)
 
 
@@ -120,10 +106,7 @@ def enumerate_genotypes(space: GenotypeSpace) -> list[Genotype]:
             f"genotype space has {space.variants}^{space.loci} = {space.size} members, "
             f"above the enumeration cap of {MAX_ENUMERABLE}"
         )
-    return [
-        Genotype(genes)
-        for genes in itertools.product(range(space.variants), repeat=space.loci)
-    ]
+    return list(itertools.product(range(space.variants), repeat=space.loci))
 
 
 def mutate(
@@ -136,18 +119,16 @@ def mutate(
 
     A mutation always changes the locus: the replacement is drawn uniformly
     from the ``variants - 1`` other values, so ``mu`` is the exact per-locus
-    change probability. Always consumes the same number of random draws
-    regardless of ``mu``, keeping downstream streams aligned.
+    change probability. Every call draws ``rng.random(loci)`` and then
+    ``rng.integers(0, variants - 1, size=loci)``, whatever ``mu``, keeping
+    downstream streams aligned; the child is built as a tuple of Python ints.
     """
     if not space.contains(g):
-        raise ValueError(f"genotype {g.to_string()} is not a member of {space}")
+        raise ValueError(f"genotype {g!r} is not a member of {space}")
     n = space.loci
-    flips = rng.random(n) < spec.mu
-    draws = rng.integers(0, space.variants - 1, size=n)
-    if not flips.any():
+    flips = (rng.random(n) < spec.mu).tolist()
+    draws = rng.integers(0, space.variants - 1, size=n).tolist()
+    if not any(flips):
         return g
-    genes = np.array(g.genes, dtype=np.int64)
-    # shift draws >= current value up by one: uniform over the other variants
-    replacements = draws + (draws >= genes)
-    genes = np.where(flips, replacements, genes)
-    return Genotype(tuple(int(v) for v in genes))
+    # shift a draw >= the current value up by one: uniform over the other variants
+    return tuple(d + (d >= v) if f else v for v, f, d in zip(g, flips, draws))

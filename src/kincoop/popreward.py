@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol, TextIO
+from typing import Iterable, NamedTuple, Optional, Protocol, TextIO
 
 import numpy as np
 
-from .genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity, match_count, mutate
+from .genotype import (
+    Genotype, GenotypeSpace, MutationSpec, format_genotype, hamming_similarity, match_count, mutate,
+)
 from .ioutil import fmt
 from .learning import LearnerConfig, epsilon_at, q_update
 
@@ -43,6 +46,13 @@ class PopulationState:
         return len(self.alive)
 
 
+def _left_sum(terms: Iterable[float]) -> float:
+    """Add ``terms`` to 0.0 left to right, rounding after each addition: the
+    bits of built-in ``sum`` up to Python 3.11, which from 3.12 on compensates
+    float rounding and would make rewards, and a learner's choices, vary with it."""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 class RewardTriple(NamedTuple):
     longevity: float
     replication: float
@@ -55,12 +65,12 @@ def longevity_reward(me: Genotype, state: PopulationState) -> float:
     Each genotype counts once no matter how many agents carry it: one
     living copy is enough for the information to persist.
     """
-    return float(sum(hamming_similarity(me, g) for g in state.unique_genotypes))
+    return _left_sum(hamming_similarity(me, g) for g in state.unique_genotypes)
 
 
 def combined_reward(me: Genotype, state: PopulationState) -> float:
     """Sum of similarities to every living agent, copies included."""
-    return float(sum(hamming_similarity(me, g) for _, g in state.alive))
+    return _left_sum(hamming_similarity(me, g) for _, g in state.alive)
 
 
 def replication_reward(
@@ -73,9 +83,9 @@ def replication_reward(
     """
     prev_ids = {aid for aid, _ in prev.alive}
     curr_ids = {aid for aid, _ in curr.alive}
-    born = sum(hamming_similarity(me, g) for aid, g in curr.alive if aid not in prev_ids)
-    died = sum(hamming_similarity(me, g) for aid, g in prev.alive if aid not in curr_ids)
-    return float(born - died)
+    born = _left_sum(hamming_similarity(me, g) for aid, g in curr.alive if aid not in prev_ids)
+    died = _left_sum(hamming_similarity(me, g) for aid, g in prev.alive if aid not in curr_ids)
+    return born - died
 
 
 class _MatchCounts:
@@ -143,8 +153,8 @@ def _step_rewards(
     lookups per step for G distinct genotypes alive, B births and D deaths,
     instead of O(pop·(G + B + D)). The floats are exactly those of the
     per-agent free functions summed in ``Counter`` order: the same terms
-    go through the same left-to-right ``sum``, because a learning policy
-    compares these values and a one-ulp change would alter its choices.
+    go through the same ``_left_sum``, because a learning policy compares
+    these values and a one-ulp change would alter its choices.
     """
     genotypes, alive, copies = matches.census(curr)
     born_ids = [matches.index(g) for g in born]
@@ -152,10 +162,11 @@ def _step_rewards(
     by_genotype: dict[Genotype, RewardTriple] = {}
     for g, i in zip(genotypes, alive):
         sims = matches.similarities(i, alive)
-        r_long = sum(sims)
-        r_comb = sum(map(operator.mul, copies, sims))
-        r_repl = sum(matches.similarities(i, born_ids)) - sum(matches.similarities(i, died_ids))
-        by_genotype[g] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
+        r_long = _left_sum(sims)
+        r_comb = _left_sum(map(operator.mul, copies, sims))
+        r_repl = _left_sum(matches.similarities(i, born_ids))
+        r_repl -= _left_sum(matches.similarities(i, died_ids))
+        by_genotype[g] = RewardTriple(r_long, r_repl, r_comb)
     return {aid: by_genotype[g] for aid, g in curr.alive}
 
 
@@ -462,9 +473,9 @@ def write_trace_csv(trace: PopulationTrace, stream: TextIO) -> None:
         born = {aid for aid, _ in trace.births[t - 1]}
         for (aid, g), health in zip(state.alive, healths):
             event = "birth" if aid in born else "none"
-            writer.writerow([t, aid, g.to_string(), fmt(health), event])
+            writer.writerow([t, aid, format_genotype(g), fmt(health), event])
         for aid, g, final_health in trace.deaths[t - 1]:
-            writer.writerow([t, aid, g.to_string(), fmt(final_health), "death"])
+            writer.writerow([t, aid, format_genotype(g), fmt(final_health), "death"])
 
 
 def write_rewards_csv(trace: PopulationTrace, stream: TextIO) -> None:

@@ -23,7 +23,7 @@ from kincoop.experiments import (
     run_sweep,
 )
 from kincoop.games import DilemmaParams, cooperation_favored, transformed_matrix
-from kincoop.genotype import Genotype, GenotypeSpace, MutationSpec, enumerate_genotypes
+from kincoop.genotype import GenotypeSpace, MutationSpec, enumerate_genotypes
 from kincoop.learning import LearnerConfig
 from kincoop.networks import (
     InfeasiblePartitionError,
@@ -232,7 +232,7 @@ class TestCriterion4HarmonyOracle:
 class TestCriterion5RewardIdentity:
     def test_identities_on_random_traces(self):
         space = GenotypeSpace(4, 2)
-        initial = Genotype((0, 0, 0, 0))
+        initial = (0, 0, 0, 0)
         mus = (0.0, 0.05, 0.2)
         master = np.random.default_rng(20240501)
         worst_identity = 0.0

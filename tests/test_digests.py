@@ -21,12 +21,14 @@ behavioural test still passes.
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from kincoop import popreward
 from kincoop.cli import main
 from kincoop.config import config_hash, load_config_file, resolve_config
 from kincoop.experiments import (
@@ -177,6 +179,15 @@ def test_csv_digests(case, tmp_path):
         name, stops = STOPS[case]
         runs = json.loads((out_dir / name).read_text())
         assert [(run["steps_run"], run["converged_at"]) for run in runs] == stops
+
+
+def test_sandbox_rewards_do_not_use_builtin_float_sum(monkeypatch, tmp_path):
+    # CPython 3.12 made float sum() compensated. math.fsum stands in for
+    # it here, so a float sum() left on the reward path moves these digests
+    # (at loci 6 the similarities k/6 round when added).
+    monkeypatch.setattr(popreward, "sum", math.fsum, raising=False)
+    args, expected = CASES["sandbox-q-combined"]
+    assert run_cli(args, tmp_path / "out") == expected
 
 
 # Every output of a sweep but its manifest: the CSV, the *_runs.json sidecar

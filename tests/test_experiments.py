@@ -20,7 +20,7 @@ from kincoop.experiments import (
     run_sweep,
 )
 from kincoop.games import DilemmaParams, payoff_matrix, transformed_matrix
-from kincoop.genotype import Genotype, GenotypeSpace, enumerate_genotypes
+from kincoop.genotype import GenotypeSpace, enumerate_genotypes
 from kincoop.learning import LearnerConfig
 from kincoop.networks import InfeasiblePartitionError, PartitionSpec
 
@@ -160,7 +160,7 @@ class TestDiscriminationRunner:
             steps_max=600,
             window=60,
         )
-        res = run_discrimination(cfg, 0, genotypes=[Genotype((0,))])
+        res = run_discrimination(cfg, 0, genotypes=[(0,)])
         assert res.greedy_final[0, 0] == 1
         assert res.coop_freq[0, 0] > 0.99
 
@@ -194,7 +194,7 @@ class TestDiscriminationRunner:
         # complementing every gene is a relabeling; binned curves must agree
         space = GenotypeSpace(3, 2)
         plain = enumerate_genotypes(space)
-        flipped = [Genotype(tuple(1 - v for v in g.genes)) for g in plain]
+        flipped = [tuple(1 - v for v in g) for g in plain]
         cfg = small_discrimination()
         seeds = range(4)
         t_plain = [

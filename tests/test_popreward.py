@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kincoop import popreward
-from kincoop.genotype import Genotype, GenotypeSpace, MutationSpec, hamming_similarity
+from kincoop.genotype import GenotypeSpace, MutationSpec, hamming_similarity
 from kincoop.learning import LearnerConfig
 from kincoop.popreward import (
     AlwaysReproducePolicy,
@@ -28,7 +28,7 @@ from kincoop.popreward import (
 
 
 def g(*genes):
-    return Genotype(tuple(genes))
+    return tuple(genes)
 
 
 ME = g(1, 1, 1, 1)
@@ -179,6 +179,19 @@ class TestSandbox:
         trace = run_sandbox(cfg, np.random.default_rng(0))
         assert trace.steps == 0
         assert trace.rewards == []
+
+    @pytest.mark.parametrize("genotype", [[1, 1, 1, 1], (1, 1, 1.0, 1)])
+    def test_initial_genotype_must_be_a_tuple_of_ints(self, genotype):
+        with pytest.raises(ValueError, match="initial_genotype must belong to the genotype space"):
+            SandboxConfig(
+                space=SPACE,
+                initial_genotype=genotype,
+                mutation=MutationSpec(0.1),
+                initial_health=5.0,
+                food_rate=1,
+                steps=10,
+                policy=IdlePolicy(),
+            )
 
     def test_health_capped_at_initial(self):
         cfg = SandboxConfig(
@@ -403,17 +416,19 @@ class TestRewardIdentities:
 
 
 def oracle_event_rewards(curr, born, died, _matches=None):
-    """Per-agent rewards summed over ``hamming_similarity`` in ``Counter`` order,
-    with the step's births and deaths given as genotypes, as ``_step_rewards`` takes them."""
+    """Per-agent rewards summed left to right over ``hamming_similarity`` in
+    ``Counter`` order, with the step's births and deaths given as genotypes,
+    as ``_step_rewards`` takes them."""
+    left_sum = popreward._left_sum
     counts = Counter(geno for _, geno in curr.alive)
     rewards = {}
     for aid, me in curr.alive:
-        r_long = sum(hamming_similarity(me, u) for u in counts)
-        r_comb = sum(c * hamming_similarity(me, u) for u, c in counts.items())
-        r_repl = sum(hamming_similarity(me, u) for u in born) - sum(
+        r_long = left_sum(hamming_similarity(me, u) for u in counts)
+        r_comb = left_sum(c * hamming_similarity(me, u) for u, c in counts.items())
+        r_repl = left_sum(hamming_similarity(me, u) for u in born) - left_sum(
             hamming_similarity(me, u) for u in died
         )
-        rewards[aid] = RewardTriple(float(r_long), float(r_repl), float(r_comb))
+        rewards[aid] = RewardTriple(r_long, r_repl, r_comb)
     return rewards
 
 
@@ -451,7 +466,7 @@ class TestRewardsBitExact:
     def make_config(self, policy, mu):
         return SandboxConfig(
             space=GenotypeSpace(6, 2),
-            initial_genotype=Genotype((0,) * 6),
+            initial_genotype=(0,) * 6,
             mutation=MutationSpec(mu),
             initial_health=10.0,
             food_rate=20,
@@ -494,7 +509,7 @@ class TestRewardsBitExact:
         # 4**40 genotypes: only the pairs that meet may be tabulated
         cfg = SandboxConfig(
             space=GenotypeSpace(40, 4),
-            initial_genotype=Genotype((0,) * 40),
+            initial_genotype=(0,) * 40,
             mutation=MutationSpec(0.3),
             initial_health=10.0,
             food_rate=20,
