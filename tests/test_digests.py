@@ -14,6 +14,9 @@ The override-network dispersal groups (edgeless, and with isolated nodes
 trailing the edge list) and the discrimination groups under a mixed-sign
 similarity override were recorded before the pair rewards of every path
 moved to one table.
+The floor-from-start cases (epsilon at its floor from step 0) and the
+early stop without self-play were recorded before the kernel took greedy
+snapshots only from the first step whose snapshot the stop rule can read.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -58,6 +61,10 @@ DISPERSAL_SMALL = [
 # their greedy policy last changed; the floor is written as a decimal because
 # YAML reads "1e-6" as a string
 EARLY_STOP = ["-s", "learner.decay=0.9", "-s", "learner.epsilon_min=0.000001"]
+# epsilon at its 0.001 floor from step 0, so the stop rule is read at every step
+FLOOR_FROM_START = ["-s", "learner.epsilon0=0.001"]
+# no exploration at all: the greedy policy settles and holds a window from step 0
+NO_EXPLORATION = ["-s", "learner.epsilon0=0.0", "-s", "learner.epsilon_min=0.0"]
 # two seeds over two workers: the points of one (eta, mode, seed) share a
 # network and a random stream, and with EARLY_STOP they stop at different steps
 TWO_SEEDS_JOBS2 = ["--seeds", "1,2", "--jobs", "2"]
@@ -109,6 +116,17 @@ CASES = {
     "discrimination-early-stop": ([*DISCRIMINATION_SMALL, *EARLY_STOP], {
         "discrimination.csv": "2c8300eefcc7d21a86d5e990ea097a6f130f75a0b1f2f8ecadb854ff791f778a",
     }),
+    "discrimination-early-stop-no-self-play": ([*DISCRIMINATION_SMALL, *EARLY_STOP, "-s", "self_play=false"], {
+        "discrimination.csv": "0eacedd00e693fb7cff45586d2400d6fddcef22c33215ff6a722191437f668fe",
+    }),
+    "discrimination-floor-from-start": ([*DISCRIMINATION_SMALL, *FLOOR_FROM_START], {
+        "discrimination.csv": "ea0159f7355aff84a662e21bcb058664964342332d181a3fe94e18269d1985df",
+    }),
+    "discrimination-no-exploration-no-self-play": ([
+        *DISCRIMINATION_SMALL, *NO_EXPLORATION, "-s", "self_play=false",
+    ], {
+        "discrimination.csv": "1d73b0ff2cf09a876d913b21215b254148acd5ed59238aaea19d94db1d3ccd2e",
+    }),
     "dispersal-small": (DISPERSAL_SMALL, {
         "dispersal.csv": "89bb20afaf03f0d28e2de038e746f4799142fe310846901355df4cedf5788b5b",
     }),
@@ -117,6 +135,9 @@ CASES = {
     }),
     "dispersal-early-stop": ([*DISPERSAL_SMALL, *EARLY_STOP], {
         "dispersal.csv": "4c9f757b924a930f786a494857c6066634d0de2319db6572476978d86810e91e",
+    }),
+    "dispersal-floor-from-start": ([*DISPERSAL_SMALL, *FLOOR_FROM_START], {
+        "dispersal.csv": "8e90c5eebb6f56f7e9216d1aa5600f9d099b75a0d1f74d05aaa779a7898796b2",
     }),
     "dispersal-two-seeds-jobs2": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2], {
         "dispersal.csv": "c998b912bf825548e4b9e9a7f4809db55724335baaacf6c5c05643e400eace7c",
@@ -136,6 +157,23 @@ CASES = {
 STOPS = {
     "discrimination-early-stop": ("discrimination_runs.json", [
         (200, 200), (200, 200), (161, 161),
+    ]),
+    "discrimination-early-stop-no-self-play": ("discrimination_runs.json", [
+        (200, 200), (200, 200), (161, 161),
+    ]),
+    "discrimination-floor-from-start": ("discrimination_runs.json", [
+        (400, None), (400, None), (400, None),
+    ]),
+    "discrimination-no-exploration-no-self-play": ("discrimination_runs.json", [
+        (113, 113), (113, 113), (113, 113),
+    ]),
+    "dispersal-floor-from-start": ("dispersal_runs.json", [
+        (259, 259), (112, 112), (259, 259), (145, 145), (259, 259), (145, 145),
+        (259, 259), (145, 145), (259, 259), (145, 145), (259, 259), (145, 145),
+        (259, 259), (111, 111), (259, 259), (148, 148), (259, 259), (145, 145),
+        (259, 259), (145, 145), (259, 259), (145, 145), (259, 259), (145, 145),
+        (167, 167), (114, 114), (259, 259), (145, 145), (259, 259), (145, 145),
+        (259, 259), (145, 145), (259, 259), (145, 145), (259, 259), (145, 145),
     ]),
     "dispersal-early-stop": ("dispersal_runs.json", [
         (133, 133), (133, 133), (133, 133), (133, 133), (133, 133), (153, 153),
