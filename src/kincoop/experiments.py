@@ -4,8 +4,10 @@ aggregation.
 Both experiments run one learning kernel, ``_learn``: independent myopic
 epsilon-greedy Q-learners with fair random tie-breaking, one per cell of a
 boolean state mask, with one convergence rule (greedy policy unchanged for
-a full window, epsilon at its floor). The two runners are thin wrappers
-that supply what differs:
+a full window, epsilon at its floor). It selects with ``np.where``, not with
+masked copies that branch on random masks, and takes greedy snapshots from
+a window before epsilon's floor. The two runners are thin wrappers that
+supply what differs:
 
 - ``run_discrimination``: a complete network, an N x N state mask (one
   state per opponent; the diagonal is the self state, masked out without
@@ -82,8 +84,8 @@ from .pairsum import PairwiseRowSum
 
 # Per (agent, opponent) cell a complete-network run keeps two float64 value
 # tables, one int64 window count and one step's work arrays, whatever the
-# window: 194 MB peak RSS at 1024 agents. The limit bounds time instead: 0.1 s
-# a step there on a 2-vCPU host, so a 3000-step run takes about 5 minutes.
+# window: 166 MB peak RSS at 1024 agents. The limit bounds time instead: 0.08 s
+# a step there on a 2-vCPU host, so a 3000-step run takes about 4 minutes.
 MAX_DISCRIMINATION_AGENTS = 1024
 
 KINDS = ("discrimination", "dispersal")
@@ -185,60 +187,60 @@ def _learn(
 
     Every step draws three blocks of ``active.shape`` (explore flags, random
     actions, tie coins) and uses them for every point: greedy actions with
-    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) int8
-    actions (0 cooperate, 1 defect) to the reward of each cell's action (it
-    may draw more numbers from ``rng``), and the taken action's value moves
-    toward it wherever ``active``. Each cell counts snapshot + 1 over the last ``window``
-    steps. A point stops once its greedy policy has not changed for a full
-    window and epsilon is at its floor; that window held its last snapshot
-    alone, and its result is the one at its stop step. The loop ends when
-    every point has stopped.
+    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) bool
+    actions (True = defect) to each cell's reward (it may draw more numbers
+    from ``rng``), and the taken action's value moves toward it wherever
+    ``active``, all selected by ``np.where`` bar the sparse tie mask. A point
+    stops at the first step with epsilon at its floor and its greedy policy
+    unchanged for a full window; the loop ends when every point has stopped.
+    Snapshots start a window before the first floor step or at the final
+    window, so the stable-step counter is exact wherever the rule reads it.
     """
     learner = resolve_decay(config.learner, config.steps_max)
+    epsilons = [epsilon_at(learner, t) for t in range(config.steps_max)]
+    floor_steps = (t for t, eps in enumerate(epsilons) if eps <= learner.epsilon_min)
+    watch_from = max(0, next(floor_steps, config.steps_max - 1) + 1 - config.window)
     shape = active.shape
     q_c = np.full((points,) + shape, learner.q_init, dtype=float)  # value of cooperating
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
     all_active = bool(active.all())
-    inactive = ~active
 
-    defect = np.empty((points,) + shape, dtype=bool)  # the action taken; True = 1
-    acts = defect.view(np.int8)
+    greedy = np.empty((points,) + shape, dtype=bool)  # True = defect
     # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
     coop_count = np.zeros((points,) + shape, dtype=np.int64)
     prev_greedy = np.zeros((points,) + shape, dtype=np.int8)
-    stable_steps = np.zeros(points, dtype=np.int64)  # 1 after step 0, whatever prev_greedy
+    stable_steps = np.zeros(points, dtype=np.int64)  # 1 after the watch step, whatever prev_greedy
     learned: list[Optional[_Learned]] = [None] * points
 
     def finish(p: int, freq: np.ndarray, steps_run: int, converged_at: Optional[int]) -> _Learned:
         q = np.stack([q_c[p], q_d[p]], axis=-1)
         return _Learned(freq, prev_greedy[p], converged_at, steps_run, q)
 
-    for t in range(config.steps_max):
-        eps = epsilon_at(learner, t)
+    for t, eps in enumerate(epsilons):
         explore = rng.random(shape) < eps
         # the random actions, then the tie coins: the stream of two such calls
-        random_acts, tie_coins = rng.integers(0, 2, size=(2,) + shape)
+        random_acts, tie_coins = rng.integers(0, 2, size=(2,) + shape).astype(bool)
 
         # greedy action with a coin on exact ties, unless exploring
-        np.less(gap, 0, out=defect)
-        np.copyto(defect, tie_coins, where=gap == 0, casting="unsafe")
-        np.copyto(defect, random_acts, where=explore, casting="unsafe")
-        reward = reward_fn(acts)
+        np.less(gap, 0, out=greedy)
+        np.copyto(greedy, tie_coins, where=gap == 0)
+        defect = np.where(explore, random_acts, greedy)
+        reward = reward_fn(defect)
 
         q_new = q_update(np.where(defect, q_d, q_c), reward, learner.alpha)
         if all_active:
-            np.copyto(q_d, q_new, where=defect)
-            np.copyto(q_c, q_new, where=~defect)
+            q_d = np.where(defect, q_new, q_d)
+            q_c = np.where(defect, q_c, q_new)
         else:
             update_d = active & defect
-            np.copyto(q_d, q_new, where=update_d)
-            np.copyto(q_c, q_new, where=active ^ update_d)
+            q_d = np.where(update_d, q_new, q_d)
+            q_c = np.where(active ^ update_d, q_new, q_c)
 
         np.subtract(q_c, q_d, out=gap)
-        snapshot = np.sign(gap).astype(np.int8)
-        if not all_active:
-            snapshot[:, inactive] = 0
+        if t < watch_from:
+            continue
+        snapshot = np.sign(gap).astype(np.int8)  # 0 where inactive: q_c == q_d == q_init there
         if t >= config.steps_max - config.window:
             coop_count += snapshot + 1
         same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
@@ -320,6 +322,9 @@ def run_discrimination(
     state and updates that state with the pairwise reward. The self state
     uses a single action for both roles and full self-relatedness, so its
     reward is twice the individual payoff when rewards are inclusive.
+
+    Each distinct similarity adds one pair-table column: a few for lattice
+    values k/loci, about N x N (a per-cell table) for an all-distinct override.
     """
     (result,) = _run_discrimination_group((config,), seed, genotypes, similarity_override)
     return result

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kincoop import experiments
 from kincoop.experiments import (
     MAX_CHUNK_CELLS,
     ExperimentConfig,
@@ -11,6 +12,8 @@ from kincoop.experiments import (
     SweepTask,
     _group_tasks,
     _pair_table,
+    _run_discrimination_group,
+    _run_dispersal_group,
     aggregate,
     bin_by_similarity,
     cooperator_proportion,
@@ -21,8 +24,12 @@ from kincoop.experiments import (
 )
 from kincoop.games import DilemmaParams, payoff_matrix, transformed_matrix
 from kincoop.genotype import GenotypeSpace, enumerate_genotypes
-from kincoop.learning import LearnerConfig
-from kincoop.networks import InfeasiblePartitionError, PartitionSpec
+from kincoop.learning import LearnerConfig, epsilon_at, q_update, resolve_decay
+from kincoop.networks import (
+    InfeasiblePartitionError,
+    PartitionSpec,
+    build_partition_network_with_probs,
+)
 
 
 def small_discrimination(**kwargs):
@@ -128,6 +135,160 @@ class TestConvergence:
         res = run_experiment(cfg, 1)
         assert res.converged_at is None
         assert res.steps_run == 400
+
+
+def reference_learn(config, active, reward_fn, rng, points=1):
+    """The learning kernel as it was before its selections became branchless:
+    masked copies for the explore pick and the value updates, int8 actions,
+    and a greedy snapshot, its comparison and the stable-step counter at
+    every step."""
+    learner = resolve_decay(config.learner, config.steps_max)
+    shape = active.shape
+    q_c = np.full((points,) + shape, learner.q_init, dtype=float)
+    q_d = q_c.copy()
+    gap = q_c - q_d
+    all_active = bool(active.all())
+    inactive = ~active
+
+    defect = np.empty((points,) + shape, dtype=bool)
+    acts = defect.view(np.int8)
+    coop_count = np.zeros((points,) + shape, dtype=np.int64)
+    prev_greedy = np.zeros((points,) + shape, dtype=np.int8)
+    stable_steps = np.zeros(points, dtype=np.int64)
+    learned = [None] * points
+
+    def finish(p, freq, steps_run, converged_at):
+        q = np.stack([q_c[p], q_d[p]], axis=-1)
+        return experiments._Learned(freq, prev_greedy[p], converged_at, steps_run, q)
+
+    for t in range(config.steps_max):
+        eps = epsilon_at(learner, t)
+        explore = rng.random(shape) < eps
+        random_acts, tie_coins = rng.integers(0, 2, size=(2,) + shape)
+
+        np.less(gap, 0, out=defect)
+        np.copyto(defect, tie_coins, where=gap == 0, casting="unsafe")
+        np.copyto(defect, random_acts, where=explore, casting="unsafe")
+        reward = reward_fn(acts)
+
+        q_new = q_update(np.where(defect, q_d, q_c), reward, learner.alpha)
+        if all_active:
+            np.copyto(q_d, q_new, where=defect)
+            np.copyto(q_c, q_new, where=~defect)
+        else:
+            update_d = active & defect
+            np.copyto(q_d, q_new, where=update_d)
+            np.copyto(q_c, q_new, where=active ^ update_d)
+
+        np.subtract(q_c, q_d, out=gap)
+        snapshot = np.sign(gap).astype(np.int8)
+        if not all_active:
+            snapshot[:, inactive] = 0
+        if t >= config.steps_max - config.window:
+            coop_count += snapshot + 1
+        same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
+        stable_steps = np.where(same, stable_steps + 1, 1)
+        prev_greedy = snapshot
+        if eps <= learner.epsilon_min:
+            for p in np.flatnonzero(stable_steps >= config.window):
+                if learned[p] is None:
+                    learned[p] = finish(p, (snapshot[p] + 1.0) / 2.0, t + 1, t + 1)
+            if None not in learned:
+                break
+
+    for p in range(points):
+        if learned[p] is None:
+            learned[p] = finish(p, coop_count[p] / (2 * config.window), config.steps_max, None)
+    return learned
+
+
+def first_floor_step(config):
+    """The first step whose epsilon is at its floor, or None within the budget."""
+    learner = resolve_decay(config.learner, config.steps_max)
+    floor = (t for t in range(config.steps_max) if epsilon_at(learner, t) <= learner.epsilon_min)
+    return next(floor, None)
+
+
+def sparse_network():
+    """64 nodes in 8 communities, 9 of them isolated."""
+    genotypes = enumerate_genotypes(GenotypeSpace(3, 2))
+    return build_partition_network_with_probs(8, genotypes, 0.15, 0.01, np.random.default_rng(7))
+
+
+class TestKernelOracle:
+    """``_learn`` against ``reference_learn``, bit for bit, wherever the
+    watch step can fall: the snapshots before it are never taken, so only
+    a stop rule read from the floor on and a final window after it keep the
+    results exact."""
+
+    FAST_DECAY = LearnerConfig(decay=0.9, epsilon_min=1e-6)  # at its floor from step 132
+    # (learner, window) per floor position, with steps_max 300
+    FLOORS = {
+        "floor-at-start": (LearnerConfig(epsilon0=0.001), 50),
+        "floor-at-window-minus-1": (FAST_DECAY, 133),
+        "floor-mid-run": (FAST_DECAY, 40),
+        "floor-never": (LearnerConfig(), 50),
+    }
+    # runner and config fields per state mask
+    SETUPS = {
+        "self-play": (_run_discrimination_group, small_discrimination, dict()),
+        "no-self-play": (_run_discrimination_group, small_discrimination, dict(self_play=False)),
+        "isolated-nodes": (_run_dispersal_group, small_dispersal, dict()),
+        "isolated-nodes-edge-sampling": (_run_dispersal_group, small_dispersal, dict(edge_sampling=True)),
+    }
+    POINTS = {
+        1: ((4.0, True),),
+        3: ((2.0, True), (6.0, False), (12.0, True)),
+    }
+
+    def run_both(self, monkeypatch, floor, setup, points, seed=1):
+        learner, window = self.FLOORS[floor]
+        runner, make, fields = self.SETUPS[setup]
+        group = tuple(
+            make(
+                dilemma=DilemmaParams(benefit=b, cost=1.0),
+                inclusive=inclusive,
+                learner=learner,
+                steps_max=300,
+                window=window,
+                **fields,
+            )
+            for b, inclusive in self.POINTS[points]
+        )
+        extra = dict(network_override=sparse_network()) if runner is _run_dispersal_group else {}
+        got = runner(group, seed, **extra)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_learn", reference_learn)
+            want = runner(group, seed, **extra)
+        return group[0], got, want
+
+    @pytest.mark.parametrize("points", sorted(POINTS))
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @pytest.mark.parametrize("floor", sorted(FLOORS))
+    def test_matches_reference(self, monkeypatch, floor, setup, points):
+        cfg, got, want = self.run_both(monkeypatch, floor, setup, points)
+        at_floor = first_floor_step(cfg)
+        assert {
+            "floor-at-start": at_floor == 0,
+            "floor-at-window-minus-1": at_floor == cfg.window - 1,
+            "floor-mid-run": at_floor is not None and cfg.window <= at_floor < cfg.steps_max - 1,
+            "floor-never": at_floor is None,
+        }[floor]
+        mask = got[0].state_mask
+        inactive = got[0].isolated_count if mask is None else np.count_nonzero(~mask)
+        assert (inactive > 0) == (setup != "self-play")
+        for res, ref in zip(got, want):
+            assert_same_result(res, ref)
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_stops_at_first_read(self, monkeypatch, setup):
+        # A point whose policy held a window before the floor stops at the
+        # floor's own step. A watch step even one step late would stop it
+        # a step later.
+        cfg, got, want = self.run_both(monkeypatch, "floor-mid-run", setup, 3)
+        assert first_floor_step(cfg) + 1 in [res.converged_at for res in want]
+        for res, ref in zip(got, want):
+            assert_same_result(res, ref)
 
 
 class TestDiscriminationRunner:
