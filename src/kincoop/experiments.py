@@ -490,7 +490,7 @@ def _run_dispersal_group(
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
-            # intp before the product: int8 actions would wrap at n_cols
+            # an intp copy scaled in place: the index outgrows the bool actions' dtype
             scaled = acts.astype(np.intp).ravel()
             scaled *= n_cols
             index = np.take(scaled, own_at)
