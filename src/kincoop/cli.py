@@ -72,8 +72,16 @@ def _parse_seed_list(text: Optional[str]) -> Optional[list[int]]:
         raise ConfigError(f"--seeds must be a comma-separated integer list, got {text!r}") from exc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which a CPU mask may make fewer than
+    the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _effective_jobs(configured: int) -> int:
-    return configured if configured > 0 else (os.cpu_count() or 1)
+    return configured if configured > 0 else _usable_cpus()
 
 
 def _timestamp() -> str:
@@ -123,7 +131,7 @@ _shared_options = [
         help="Run with (true) or without (false) relatedness-weighted rewards",
     ),
     _out_dir_option,
-    click.option("--jobs", type=int, default=None, help="Parallel worker processes (0 = all cores)"),
+    click.option("--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"),
     click.option("--plot/--no-plot", "plot", default=None, help="Emit SVG charts"),
 ]
 

@@ -16,16 +16,16 @@ supply what differs:
   mask of agents that have neighbors, and the mean reward over all
   neighbors, or the reward against one sampled neighbor.
 
-The dispersal rewards touch the edges alone. Each directed edge's pair
-reward for the four action pairs is tabled once per group, with the
+The dispersal rewards touch the edges alone. Each point's directed edges'
+pair rewards for the four action pairs are tabled once per group, with the
 similarity looked up per community pair. The mean over neighbors is the
 row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
 the edges, would give under numpy's ``sum(axis=-1)``, reproduced term for
-term in numpy's pairwise order by ``pairsum.PairwiseRowSum``, so it
-matches that dense mean bit for bit. Each step costs O(P·E) lookups and
-writes for P points and E edges, plus a fixed combine over about N·N/16
-slots per point (8·N below 128 nodes); no N x N array is built unless a
-similarity override is given.
+term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over one row
+per (point, agent), so it matches that dense mean bit for bit. Each step
+costs O(P·E) lookups and writes for P points of E edges, plus a fixed
+combine over about N·N/16 slots per point (8·N below 128 nodes); no N x N
+array is built unless a similarity override is given.
 
 Optionally each reward credits the opponent's payoff weighted by genetic
 similarity w: ``w * pm[other, own] + pm[own, other]``, written once, in
@@ -38,19 +38,24 @@ the zero-similarity override produce bit-identical results for the
 weighted and unweighted variants under a shared seed.
 
 The same fact lets the kernel learn several parameter points at once. Its
-value tables carry a leading axis of P points; each step's draws are made
-once, in the state mask's shape, and broadcast over that axis, and every
-point keeps its own stable-step counter. A point that meets the stop rule
-is reported as of its own stop step, so each point's result is
+value tables and state mask carry a leading axis of P points; each step's
+draws are made once, in the cells' shape, and broadcast over that axis,
+and every point keeps its own stable-step counter. A point that meets the
+stop rule is reported as of its own stop step, so each point's result is
 bit-identical to a run of that point alone. ``run_sweep`` groups the tasks
-of either kind whose configs differ only in ``dilemma`` and ``inclusive``
-and share a seed: one group per (eta, seed) for dispersal, one per seed
-for discrimination. A group builds its network and similarity once, and
-its points share them, the random stream and every step's draws; each
-point has its own rows of the pair table, with weight 0.0 for a baseline
-point. That is exact: ``pm + 0.0 * x == pm``, as no payoff entry is -0.0.
-Any subset of a group learns bit-identically too, so the sweep halves
-groups to keep its workers busy (see ``_group_tasks``).
+that share ``_group_key`` and a seed: configs that differ only in
+``dilemma``, ``inclusive`` and, for dispersal, the partition's ``eta`` and
+``k_avg``, none of which changes how many numbers a run draws. That is one
+group per seed for either kind. A dispersal group draws one network per
+distinct partition, each from a fresh generator at the seed, and every
+draw leaves the generator in the same state; the points share that
+stream and every step's draws, each on its own network, with its own
+edges, degrees and isolated nodes. A discrimination group builds its
+network and similarity once. Each point has its own rows of the pair
+table, with weight 0.0 for a baseline point. That is exact: ``pm + 0.0 *
+x == pm``, as no payoff entry is -0.0. Any subset of a group learns
+bit-identically too, so the sweep halves groups to keep its workers busy
+(see ``_group_tasks``).
 
 Reported cooperation frequencies come from greedy actions over the final
 measurement window, not from the epsilon-contaminated sampled actions;
@@ -80,7 +85,7 @@ from .networks import (
     degree_stats,
     derive_partition_probs,
 )
-from .pairsum import PairwiseRowSum
+from .pairsum import PairwiseRowSum, row_slots
 
 # Per (agent, opponent) cell a complete-network run keeps two float64 value
 # tables, one int64 window count and one step's work arrays, whatever the
@@ -182,15 +187,17 @@ def _learn(
     rng: np.random.Generator,
     points: int = 1,
 ) -> list[_Learned]:
-    """Independent myopic epsilon-greedy Q-learners, one per cell of ``active``,
-    for each of ``points`` parameter points that share ``rng``.
+    """Independent myopic epsilon-greedy Q-learners, one per cell, for each of
+    ``points`` parameter points that share ``rng``.
 
-    Every step draws three blocks of ``active.shape`` (explore flags, random
-    actions, tie coins) and uses them for every point: greedy actions with
-    coin tie-breaks, then ``reward_fn`` maps the (points, *shape) bool
-    actions (True = defect) to each cell's reward (it may draw more numbers
-    from ``rng``), and the taken action's value moves toward it wherever
-    ``active``, all selected by ``np.where`` bar the sparse tie mask. A point
+    ``active`` is a boolean (points, *cells) mask, or (1, *cells) when every
+    point has the same one. Every step draws three blocks in the cells'
+    shape (explore flags, random actions, tie coins) and uses them for every
+    point: greedy actions with coin tie-breaks, then ``reward_fn`` maps the
+    (points, *cells) bool actions (True = defect) to each cell's reward (it
+    may draw more numbers from ``rng``), and the taken action's value moves
+    toward it wherever ``active``, all selected by ``np.where`` bar the
+    sparse tie mask. A point
     stops at the first step with epsilon at its floor and its greedy policy
     unchanged for a full window; the loop ends when every point has stopped.
     Snapshots start a window before the first floor step or at the final
@@ -200,7 +207,7 @@ def _learn(
     epsilons = [epsilon_at(learner, t) for t in range(config.steps_max)]
     floor_steps = (t for t, eps in enumerate(epsilons) if eps <= learner.epsilon_min)
     watch_from = max(0, next(floor_steps, config.steps_max - 1) + 1 - config.window)
-    shape = active.shape
+    shape = active.shape[1:]
     q_c = np.full((points,) + shape, learner.q_init, dtype=float)  # value of cooperating
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
@@ -356,8 +363,14 @@ def run_dispersal(
 
 def _group_key(config: ExperimentConfig) -> ExperimentConfig:
     """What the points of one group have in common: everything but the
-    dilemma and the reward mode, neither of which draws random numbers."""
-    return replace(config, dilemma=None, inclusive=False)
+    dilemma, the reward mode and a partition's ``eta`` and ``k_avg``. None of
+    these changes how many random numbers a run draws: a partition network
+    takes one uniform per node pair whatever its edge probabilities, so only
+    the node layout stays in the key."""
+    partition = config.partition
+    if partition is not None:
+        partition = replace(partition, k_avg=1.0, eta=1.0)
+    return replace(config, dilemma=None, inclusive=False, partition=partition)
 
 
 def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
@@ -365,19 +378,22 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
         raise ValueError(f"config.kind must be {kind!r}")
     key = _group_key(configs[0])
     if any(_group_key(other) != key for other in configs[1:]):
-        raise ValueError("grouped configs may differ only in dilemma and inclusive")
+        raise ValueError(
+            "grouped configs may differ only in dilemma, inclusive and the partition's eta and k_avg"
+        )
 
 
 def _pair_table(configs: Sequence[ExperimentConfig], weights: np.ndarray) -> np.ndarray:
     """Each point's kin-weighted pair reward per action pair and weight:
     ``table[p, 2 * a_own + a_other, k]`` is ``w * pm[a_other, a_own] +
     pm[a_own, a_other]`` for point ``p``'s payoff matrix ``pm``, where ``w`` is
-    ``weights[k]`` for an inclusive point and 0.0 for a baseline one.
+    ``weights[..., k]`` (shared, or ``weights[p, k]`` per point) for an
+    inclusive point and 0.0 for a baseline one.
     ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so a baseline
     point's reward is its own payoff bit for bit."""
     pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
     inclusive = np.array([c.inclusive for c in configs])[:, None, None]
-    w = np.where(inclusive, weights, 0.0)
+    w = np.where(inclusive, np.expand_dims(weights, -2), 0.0)
     return w * pms.swapaxes(1, 2).reshape(-1, 4, 1) + pms.reshape(-1, 4, 1)
 
 
@@ -387,8 +403,8 @@ def _run_discrimination_group(
     genotypes: Optional[list[Genotype]] = None,
     similarity_override: Optional[np.ndarray] = None,
 ) -> list[RunResult]:
-    """``run_discrimination`` for configs that differ only in ``dilemma`` and
-    ``inclusive``, on one network and one random stream; result ``k`` is
+    """``run_discrimination`` for configs that share ``_group_key``, on one
+    network and one random stream; result ``k`` is
     bit-identical to ``run_discrimination(configs[k], seed, ...)``."""
     _check_group(configs, "discrimination")
     config = configs[0]
@@ -422,7 +438,7 @@ def _run_discrimination_group(
         index += offset
         return np.take(table, index)  # [p, i, j]: i's reward for its game with j
 
-    learned = _learn(config, state_mask, reward_fn, np.random.default_rng(seed), n_points)
+    learned = _learn(config, state_mask[None], reward_fn, np.random.default_rng(seed), n_points)
     return [
         _run_result(point_config, seed, net, sim, state_mask, point_learned)
         for point_config, point_learned in zip(configs, learned)
@@ -436,57 +452,87 @@ def _run_dispersal_group(
     similarity_override: Optional[np.ndarray] = None,
     network_override: Optional[NetworkTopology] = None,
 ) -> list[RunResult]:
-    """``run_dispersal`` for configs that differ only in ``dilemma`` and
-    ``inclusive``, on one network and one random stream; result ``k`` is
-    bit-identical to ``run_dispersal(configs[k], seed, ...)``."""
+    """``run_dispersal`` for configs that share ``_group_key``, in one random
+    stream; result ``k`` is bit-identical to ``run_dispersal(configs[k], seed, ...)``.
+
+    Each distinct partition's network is drawn from a fresh generator at
+    ``seed``. Every such draw leaves the generator in the same state (see
+    ``_group_key``), and the points learn on from there, each on its own
+    partition's network."""
     _check_group(configs, "dispersal")
-    config = configs[0]
-    rng = np.random.default_rng(seed)
     if network_override is not None:
-        net = network_override
+        nets = dict.fromkeys((c.partition for c in configs), network_override)
+        rng = np.random.default_rng(seed)
     else:
-        config.validate_feasible()
+        by_partition = {c.partition: c for c in configs}
+        for config in by_partition.values():
+            config.validate_feasible()
         if genotypes is None:
-            genotypes = enumerate_genotypes(config.space)
-        net = build_partition_network(config.partition, genotypes, rng)
-    n_agents = net.node_count
+            genotypes = enumerate_genotypes(configs[0].space)
+        nets, states = {}, []
+        for partition in by_partition:
+            rng = np.random.default_rng(seed)
+            nets[partition] = build_partition_network(partition, genotypes, rng)
+            states.append(rng.bit_generator.state)
+        if any(state != states[0] for state in states):
+            raise RuntimeError("the partition networks of one group drew unequal streams")
+    n_points, n_agents = len(configs), nets[configs[0].partition].node_count
 
-    # Each edge read both ways, by agent and then by neighbour: the order of
-    # np.nonzero on the adjacency matrix.
-    u, v = net.edges.T
-    agent, nbr = np.concatenate([u, v]), np.concatenate([v, u])
-    by_agent = np.lexsort((nbr, agent))
-    agent, nbr = agent[by_agent], nbr[by_agent]
-    nbr_count = np.bincount(agent, minlength=n_agents)
+    # Each point's edges read both ways, by agent and then by neighbour: the
+    # order of np.nonzero on its adjacency matrix.
+    def directed(net: NetworkTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        u, v = net.edges.T
+        agent, nbr = np.concatenate([u, v]), np.concatenate([v, u])
+        by_agent = np.lexsort((nbr, agent))
+        agent, nbr = agent[by_agent], nbr[by_agent]
+        return agent, nbr, _edge_similarity(net, similarity_override, agent, nbr)
+
+    edges = {partition: directed(net) for partition, net in nets.items()}
+    agents, nbrs, sims = zip(*(edges[c.partition] for c in configs))
+    n_edges = np.array([len(agent) for agent in agents])
+    nbr_count = np.stack([np.bincount(agent, minlength=n_agents) for agent in agents])
     has_neighbors = nbr_count > 0
-    # Each edge's pair rewards, then a zero-similarity column where the pick
-    # of an isolated agent after the last edge lands; the kernel masks its
-    # update.
-    edge_sim = _edge_similarity(net, similarity_override, agent, nbr)
-    n_points, n_cols = len(configs), len(agent) + 1
-    table = _pair_table(configs, np.append(edge_sim, 0.0)).ravel()
+    # Each point's edge pair rewards, then zero-similarity columns up to the
+    # longest edge list: the pick of an isolated agent after its point's last
+    # edge lands there, and the kernel masks its update.
+    n_cols = int(n_edges.max()) + 1
+    weights = np.zeros((n_points, n_cols))
+    for p, sim in enumerate(sims):
+        weights[p, : len(sim)] = sim
+    table = _pair_table(configs, weights).ravel()
+    point_col = n_cols * np.arange(n_points)[:, None]
 
-    if config.edge_sampling:
-        # Neighbor lists in CSR form; only each agent's picked pair is evaluated.
-        nbr_index = np.append(nbr, 0)
-        nbr_start = np.cumsum(nbr_count) - nbr_count
-        point_at = 4 * n_cols * np.arange(n_points)[:, None]
+    if configs[0].edge_sampling:
+        # Neighbor lists in CSR form, per point; only each agent's picked
+        # pair is evaluated. ``nbr_at`` holds the picked neighbour's index
+        # into the (point, agent) actions.
+        nbr_at = np.zeros((n_points, n_cols), dtype=np.intp)
+        for p, nbr in enumerate(nbrs):
+            nbr_at[p, : len(nbr)] = nbr
+        nbr_at += n_agents * np.arange(n_points)[:, None]
+        nbr_start = np.cumsum(nbr_count, axis=1) - nbr_count
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
             pick = nbr_start + (picks * nbr_count).astype(np.intp)
             own = acts.astype(np.intp)
-            index = (own + own + own[:, nbr_index[pick]]) * n_cols + pick + point_at
+            other = np.take(own, np.take(nbr_at, pick + point_col))
+            index = (own + own + other) * n_cols + pick + 4 * point_col
             return np.take(table, index)
 
     else:
         # The mean over neighbours is the row sum of the dense (agent,
         # neighbour) pair rewards, zero off the edges, in numpy's pairwise
-        # order (see ``pairsum``), over the edges alone.
-        row_sum = PairwiseRowSum(agent, nbr, n_agents, n_agents, n_points)
-        at, e = row_sum.point * n_agents, row_sum.term
-        own_at, other_at = at + agent[e], at + nbr[e]
-        lookup = row_sum.point * 4 * n_cols + e
+        # order (see ``pairsum``), over the edges alone: one row per
+        # (point, agent).
+        point = np.repeat(np.arange(n_points), n_edges)
+        rows = point * n_agents + np.concatenate(agents)
+        other_rows = point * n_agents + np.concatenate(nbrs)
+        row_sum = PairwiseRowSum(rows, np.concatenate(nbrs), n_points * n_agents, n_agents)
+        e = row_sum.term
+        own_at, other_at = rows[e], other_rows[e]
+        edge_start = np.cumsum(n_edges) - n_edges
+        lookup = 4 * point_col.ravel()[point[e]] + e - edge_start[point[e]]
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
@@ -497,11 +543,11 @@ def _run_dispersal_group(
             index += index
             index += np.take(scaled, other_at)
             index += lookup
-            return row_sum(np.take(table, index)) / degree_safe
+            return row_sum(np.take(table, index)).reshape(n_points, n_agents) / degree_safe
 
-    learned = _learn(config, has_neighbors, reward_fn, rng, n_points)
+    learned = _learn(configs[0], has_neighbors, reward_fn, rng, n_points)
     return [
-        _run_result(point_config, seed, net, None, None, point_learned)
+        _run_result(point_config, seed, nets[point_config.partition], None, None, point_learned)
         for point_config, point_learned in zip(configs, learned)
     ]
 
@@ -523,12 +569,11 @@ def run_experiment(
 ) -> RunResult:
     """One parameter point at one seed.
 
-    ``group``, if given, lists configs of one kind that differ only in
-    ``dilemma`` and ``inclusive``, ``config`` among them. The first call for
-    a (group, seed) learns every point of the group at once; the calls for
-    the other points return their results from a hand-off that empties once
-    each point has been handed out. The result equals a run of ``config``
-    alone.
+    ``group``, if given, lists configs that share ``_group_key``, ``config``
+    among them. The first call for a (group, seed) learns every point of the
+    group at once; the calls for the other points return their results from
+    a hand-off that empties once each point has been handed out. The result
+    equals a run of ``config`` alone.
     """
     global _handoff
     if len(group) < 2:
@@ -628,15 +673,20 @@ def _run_group(tasks: Sequence[SweepTask]) -> list[tuple[tuple, int, dict]]:
 
 
 # A chunk's points share every work array of a kernel step, so a chunk holds
-# at most this many state cells (one per (agent, opponent) pair of a
-# discrimination point, one per node of a dispersal point): 1024-agent
-# discrimination points learn one per chunk, in the memory of a lone run.
+# at most this many cells of its largest arrays: one per (agent, opponent)
+# pair of a discrimination point, one per row-sum slot of a dense dispersal
+# point (8 per node and 128-node leaf) and one per node of an edge-sampling
+# one. 1024-agent discrimination points and 4096-node dense dispersal points
+# learn one per chunk, in the memory of a lone run.
 MAX_CHUNK_CELLS = 1 << 20
 
 
 def _point_cells(config: ExperimentConfig) -> int:
     n = config.space.size
-    return n * n if config.kind == "discrimination" else n * config.partition.community_size
+    if config.kind == "discrimination":
+        return n * n
+    nodes = n * config.partition.community_size
+    return nodes if config.edge_sampling else nodes * row_slots(nodes)
 
 
 def _group_tasks(tasks: Sequence[SweepTask], jobs: int = 1) -> list[list[SweepTask]]:
@@ -675,7 +725,8 @@ def run_sweep(tasks: Sequence[SweepTask], jobs: int = 1) -> dict[tuple, dict[int
     """
     chunks = _group_tasks(tasks, jobs)
     if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # no more workers than chunks: the pool may start all of them up front
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             raw = [row for rows in pool.map(_run_group, chunks, chunksize=1) for row in rows]
     else:
         raw = [row for chunk in chunks for row in _run_group(chunk)]

@@ -53,22 +53,26 @@ def pairwise_tree(n: int) -> tuple[list[tuple[int, int]], Tree]:
     return leaves, split(0, n)
 
 
+def row_slots(n: int) -> int:
+    """Buffer slots per row of ``n`` terms: 8 accumulators per leaf, then the
+    last leaf's tail of ``length % 8`` terms."""
+    leaves, _ = pairwise_tree(n)
+    return ACCUMULATORS * len(leaves) + leaves[-1][1] % ACCUMULATORS
+
+
 class PairwiseRowSum:
-    """Row sums of a sparse ``(n_rows, n)`` matrix in each of ``points``
-    layers, equal bit for bit to ``dense.sum(axis=-1)`` on every row that
-    holds a term other than -0.0.
+    """Row sums of a sparse ``(n_rows, n)`` matrix, equal bit for bit to
+    ``dense.sum(axis=-1)`` on every row that holds a term other than -0.0.
 
     The terms' positions are given once, as ``rows`` and ``cols`` without
-    repeats. A call takes the values of all ``points * len(rows)`` terms as
-    one flat array in the plan's layout: entry ``k`` is the value of term
-    ``term[k]`` in layer ``point[k]``. Each slot's first term is written
-    and its later ones, which share an accumulator, are added in column
-    order. Cost per call: one write per term, then the fixed combine over
-    ``8 * leaves`` slots per row and point, with ``leaves`` about
-    ``n / 128``.
+    repeats. A call takes the values of all terms as one flat array in the
+    plan's layout: entry ``k`` is the value of term ``term[k]``. Each slot's
+    first term is written and its later ones, which share an accumulator,
+    are added in column order. Cost per call: one write per term, then the
+    fixed combine over ``row_slots(n)`` slots per row, about ``8 * n / 128``.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n: int, points: int):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n: int):
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         leaves, self._tree = pairwise_tree(n)
@@ -76,7 +80,6 @@ class PairwiseRowSum:
         lengths = np.array([length for _, length in leaves], dtype=np.intp)
         n_leaves = len(leaves)
         body = lengths - lengths % ACCUMULATORS  # terms that go to accumulators
-        tail = int(lengths[-1] - body[-1])  # only the last leaf has a tail
 
         # each term's slot block: an accumulator of its leaf, or a tail position
         leaf = np.searchsorted(starts, cols, side="right") - 1
@@ -94,24 +97,21 @@ class PairwiseRowSum:
         rank = np.empty(len(cols), dtype=np.intp)
         rank[by_slot] = np.arange(len(cols)) - np.repeat(first, np.diff(np.r_[first, len(cols)]))
 
-        # flat layout: rank by rank, each rank's terms for every point
-        point = np.repeat(np.arange(points), len(cols))
-        term = np.tile(np.arange(len(cols)), points)
-        layout = np.lexsort((term, point, rank[term]))
-        self.point, self.term = point[layout], term[layout]
-        # buffer of (slot block, point, row)
-        self._target = (block[self.term] * points + self.point) * n_rows + rows[self.term]
-        self._first = int(np.count_nonzero(rank == 0)) * points
+        # flat layout: rank by rank, each rank's terms in input order
+        self.term = np.argsort(rank, kind="stable")
+        # buffer of (slot block, row)
+        self._target = block[self.term] * n_rows + rows[self.term]
+        self._first = int(np.count_nonzero(rank == 0))
 
         self._accumulators = ACCUMULATORS * n_leaves
-        self._buffer = np.zeros((self._accumulators + tail, points, n_rows))
-        self._leaf_sums = np.empty((n_leaves, points, n_rows))
+        self._buffer = np.zeros((row_slots(n), n_rows))
+        self._leaf_sums = np.empty((n_leaves, n_rows))
         self._pairs = np.empty((4, self._leaf_sums.size))
         self._quads = np.empty((2, self._leaf_sums.size))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Row sums, shape ``(points, n_rows)``, of the flat ``values``; the
-        result may be a view that the next call overwrites."""
+        """Row sums, shape ``(n_rows,)``, of the flat ``values``; the result
+        may be a view that the next call overwrites."""
         flat = self._buffer.reshape(-1)
         first = self._first
         flat[self._target[:first]] = values[:first]

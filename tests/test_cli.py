@@ -899,6 +899,24 @@ def counting(calls, name, fn, results=None):
     return wrapper
 
 
+class TestEffectiveJobs:
+    """``jobs: 0`` starts one worker per CPU this process may run on, which a
+    CPU mask may make fewer than the machine's."""
+
+    def test_zero_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(kincoop.cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(kincoop.cli.os, "cpu_count", lambda: 8)
+        assert kincoop.cli._effective_jobs(0) == 2
+        assert kincoop.cli._effective_jobs(3) == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(kincoop.cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(kincoop.cli.os, "cpu_count", lambda: 8)
+        assert kincoop.cli._effective_jobs(0) == 8
+        monkeypatch.setattr(kincoop.cli.os, "cpu_count", lambda: None)
+        assert kincoop.cli._effective_jobs(0) == 1
+
+
 class TestProbedNames:
     """The commands call, at call time, the names that perfbench's probes
     replace, so the per-layer metrics see every call."""

@@ -30,6 +30,7 @@ from kincoop.networks import (
     PartitionSpec,
     build_partition_network_with_probs,
 )
+from kincoop.pairsum import row_slots
 
 
 def small_discrimination(**kwargs):
@@ -141,14 +142,14 @@ def reference_learn(config, active, reward_fn, rng, points=1):
     """The learning kernel as it was before its selections became branchless:
     masked copies for the explore pick and the value updates, int8 actions,
     and a greedy snapshot, its comparison and the stable-step counter at
-    every step."""
+    every step. ``active`` is (points, *cells), or (1, *cells) when shared."""
     learner = resolve_decay(config.learner, config.steps_max)
-    shape = active.shape
+    shape = active.shape[1:]
     q_c = np.full((points,) + shape, learner.q_init, dtype=float)
     q_d = q_c.copy()
     gap = q_c - q_d
     all_active = bool(active.all())
-    inactive = ~active
+    inactive = np.broadcast_to(~active, (points,) + shape)
 
     defect = np.empty((points,) + shape, dtype=bool)
     acts = defect.view(np.int8)
@@ -183,7 +184,7 @@ def reference_learn(config, active, reward_fn, rng, points=1):
         np.subtract(q_c, q_d, out=gap)
         snapshot = np.sign(gap).astype(np.int8)
         if not all_active:
-            snapshot[:, inactive] = 0
+            snapshot[inactive] = 0
         if t >= config.steps_max - config.window:
             coop_count += snapshot + 1
         same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)
@@ -441,9 +442,10 @@ class TestDispersalRunner:
 
 
 class TestDispersalGroups:
-    """Dispersal points that differ only in the dilemma and the reward mode
-    share a network and a random stream, so one pass learns them all; each
-    point's result must be bit-identical to a run of that point alone."""
+    """Dispersal points that differ only in the dilemma, the reward mode and
+    the partition's eta and k_avg share a random stream, so one pass learns
+    them all, each on its own partition's network; each point's result must
+    be bit-identical to a run of that point alone."""
 
     GROUPS = {
         "dense-inclusive": dict(),
@@ -479,9 +481,29 @@ class TestDispersalGroups:
         # the modes differ, so the group did not just repeat one point
         assert not np.array_equal(grouped[4].q_values, grouped[5].q_values)
 
+    # k_avg 3 at seed 2: 2, 5 and 8 isolated nodes at etas 0.05, 0.1 and 0.5,
+    # the last node among them at the two larger etas, on 102, 104 and 81 edges
+    PARTITIONS = {
+        "eta": [PartitionSpec(8, 8, 3.0, eta) for eta in (0.05, 0.1, 0.5)],
+        "k-avg": [PartitionSpec(8, 8, k_avg, 0.1) for k_avg in (3.0, 9.0)],
+    }
+
+    @pytest.mark.parametrize("sampling", [False, True], ids=["dense", "edge-sampling"])
+    @pytest.mark.parametrize("varied", sorted(PARTITIONS))
+    def test_cross_partition_equals_single(self, varied, sampling):
+        group = tuple(
+            small_dispersal(steps_max=300, partition=partition, inclusive=inclusive, edge_sampling=sampling)
+            for partition in self.PARTITIONS[varied]
+            for inclusive in (True, False)
+        )
+        grouped = assert_group_equals_single(group, 2, run_dispersal)
+        isolated = [res.isolated_count for res in grouped[::2]]
+        assert isolated == ([2, 5, 8] if varied == "eta" else [5, 0])
+
     def test_members_must_differ_only_in_dilemma(self):
+        # a partition's node layout is part of the group key; its eta and k_avg are not
         cfg = small_dispersal(steps_max=300)
-        other = small_dispersal(steps_max=300, partition=PartitionSpec(8, 8, 9.0, 0.5))
+        other = small_dispersal(steps_max=300, partition=PartitionSpec(9, 8, 9.0, 0.1))
         with pytest.raises(ValueError):
             run_experiment(cfg, 1, (cfg, other))
         with pytest.raises(ValueError):
@@ -547,7 +569,7 @@ class TestPairTable:
 
 class TestGroupMembers:
     """A strict subset of a group learns bit-identically; configs that
-    change the state mask, the stream or the budget never share a group."""
+    change the cell layout, the stream or the budget never share a group."""
 
     @pytest.mark.parametrize("kind", ["discrimination", "dispersal"])
     def test_chunk_equals_single(self, kind):
@@ -558,7 +580,7 @@ class TestGroupMembers:
     @pytest.mark.parametrize(
         "kind,change",
         [
-            ("dispersal", dict(partition=PartitionSpec(8, 8, 9.0, 0.5))),
+            ("dispersal", dict(partition=PartitionSpec(9, 8, 9.0, 0.1))),
             ("dispersal", dict(edge_sampling=True)),
             ("dispersal", dict(steps_max=301)),
             ("discrimination", dict(self_play=False)),
@@ -598,13 +620,14 @@ class TestGroupTasks:
     )
 
     @staticmethod
-    def dispersal(eta=0.1, boc=8.0, inclusive=True, nodes=(3, 8)):
+    def dispersal(eta=0.1, boc=8.0, inclusive=True, nodes=(3, 8), **fields):
         loci, community_size = nodes
         return small_dispersal(
             space=GenotypeSpace(loci, 2),
             partition=PartitionSpec(community_size, 2**loci, 9.0, eta),
             dilemma=DilemmaParams(boc, 1.0),
             inclusive=inclusive,
+            **fields,
         )
 
     def chunk(self, tasks, jobs):
@@ -614,7 +637,12 @@ class TestGroupTasks:
             return task.key, task.seed
 
         def group(task):
-            return dataclasses.replace(task.config, dilemma=None, inclusive=False), task.seed
+            # every field but the dilemma, the reward mode and the partition, then the node layout
+            fields = vars(task.config)
+            partition = fields["partition"]
+            layout = partition and (partition.community_size, partition.community_count)
+            shared = [v for k, v in fields.items() if k not in ("dilemma", "inclusive", "partition")]
+            return tuple(shared), layout, task.seed
 
         assert sorted((t for c in chunks for t in c), key=order) == sorted(tasks, key=order)
         assert all(len({group(t) for t in c}) == 1 for c in chunks)
@@ -633,15 +661,17 @@ class TestGroupTasks:
 
     @pytest.mark.parametrize(
         "jobs,sizes,etas",
-        [(1, [12, 12, 12], [0.05, 0.1, 0.5]), (2, [12, 12, 6, 6], [0.1, 0.5, 0.05, 0.05])],
+        [(1, [36], [0.05]), (2, [18, 18], [0.05, 0.1])],
     )
     def test_disp(self, jobs, sizes, etas):
+        # every eta at one seed is one group
         tasks = sweep_tasks(
             self.dispersal, eta=(0.05, 0.1, 0.5), boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False)
         )
         chunks = self.chunk(tasks, jobs)
         assert [len(c) for c in chunks] == sizes
         assert [c[0].config.partition.eta for c in chunks] == etas
+        assert [t.key for c in chunks for t in c] == [t.key for t in tasks]
 
     @pytest.mark.parametrize("jobs,sizes", [(1, [2]), (2, [1, 1])])
     def test_disp_wide(self, jobs, sizes):
@@ -671,7 +701,7 @@ class TestGroupTasks:
         assert [len(c) for c in self.chunk(disc, 2)] == [6, 6, 6, 6, 3, 3]
         disp = sweep_tasks(self.dispersal, seeds=tuple(range(1, 11)), eta=(0.05, 0.1, 0.5),
                            boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False))
-        assert [len(c) for c in self.chunk(disp, 2)] == [12] * 30
+        assert [len(c) for c in self.chunk(disp, 2)] == [36] * 10
 
     @pytest.mark.parametrize("loci,sizes", [(10, [1] * 6), (9, [3, 3]), (8, [6])])
     def test_large_points_capped(self, loci, sizes):
@@ -685,6 +715,26 @@ class TestGroupTasks:
         chunks = self.chunk(tasks, 1)
         assert [len(c) for c in chunks] == sizes
         assert all(len(c) == 1 or len(c) * 4**loci <= MAX_CHUNK_CELLS for c in chunks)
+
+
+    @pytest.mark.parametrize(
+        "nodes,edge_sampling,sizes",
+        [((7, 32), False, [1] * 36), ((5, 32), False, [9] * 4), ((3, 8), False, [36]), ((7, 32), True, [36])],
+        ids=["4096-nodes", "1024-nodes", "64-nodes", "4096-nodes-edge-sampling"],
+    )
+    def test_large_dispersal_points_capped(self, nodes, edge_sampling, sizes):
+        # a dense point's row-sum buffers hold 8 slots per node and 128-node
+        # leaf: 8 MB at 4096 nodes, so a chunk of 36 would need 36 times a lone
+        # run's memory. Edge sampling keeps no row sums.
+        tasks = sweep_tasks(
+            lambda eta, boc, inclusive: self.dispersal(eta, boc, inclusive, nodes, edge_sampling=edge_sampling),
+            eta=(0.05, 0.1, 0.5), boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False),
+        )
+        chunks = self.chunk(tasks, 1)
+        assert [len(c) for c in chunks] == sizes
+        n = 2 ** nodes[0] * nodes[1]
+        cells = n if edge_sampling else n * row_slots(n)
+        assert all(len(c) == 1 or len(c) * cells <= MAX_CHUNK_CELLS for c in chunks)
 
 
 class TestDispersalMemory:
@@ -778,7 +828,7 @@ class TestSweep:
     def test_serial_parallel_identical(self):
         cfg = small_discrimination(steps_max=400, window=50)
         tasks = [SweepTask((4.0,), cfg, seed) for seed in (1, 2, 3)]
-        # dispersal points that share (eta, mode, seed) are learned together
+        # dispersal points that share a seed are learned together, across etas
         tasks += [
             SweepTask(
                 (eta, boc, inclusive),
@@ -800,6 +850,29 @@ class TestSweep:
         parallel = run_sweep(tasks, jobs=2)
         assert serial == parallel
         assert len(serial) == 9 and sum(len(per_seed) for per_seed in serial.values()) == 19
+
+    def test_pool_no_larger_than_chunk_count(self, monkeypatch):
+        # the pool may start every worker up front, so it gets one per chunk at most
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks, chunksize=1):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = small_dispersal(steps_max=300, window=50)
+        tasks = [SweepTask(("k",), cfg, seed) for seed in (1, 2, 3)]
+        assert run_sweep(tasks, jobs=8) == run_sweep(tasks, jobs=1)
+        assert started == [3]
 
     def test_dispatch_by_kind(self):
         res = run_experiment(small_dispersal(steps_max=300, window=50), 1)

@@ -235,3 +235,29 @@ class TestChunkedDraws:
         labels = np.repeat(np.arange(8), 8)
         chunked = networks._sample_partition_edges(labels, 0.5, 0.1, np.random.default_rng(3))
         assert np.array_equal(chunked, self.one_block(labels, 0.5, 0.1, np.random.default_rng(3)))
+
+
+class TestStreamUse:
+    """A dispersal sweep learns every eta and k_avg of one seed in one random
+    stream (see ``experiments._group_key``). That rests on this: a partition
+    network takes exactly N x N uniforms, whatever its edge probabilities. A
+    sampler whose draws depended on them would fail here, not change outputs
+    unseen."""
+
+    @pytest.mark.parametrize(
+        "space,community_size", [(GenotypeSpace(3, 2), 8), (GenotypeSpace(2, 3), 15)], ids=["64", "135"]
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_state_left_independent_of_eta_and_k_avg(self, space, community_size, seed):
+        genotypes = enumerate_genotypes(space)
+        n = community_size * len(genotypes)
+        states = []
+        for k_avg in (6.0, 9.0):
+            for eta in (0.05, 0.1, 0.5):
+                rng = np.random.default_rng(seed)
+                spec = PartitionSpec(community_size, len(genotypes), k_avg, eta)
+                build_partition_network(spec, genotypes, rng)
+                states.append(rng.bit_generator.state)
+        whole_block = np.random.default_rng(seed)
+        whole_block.random((n, n))
+        assert all(state == whole_block.bit_generator.state for state in states)

@@ -10,7 +10,7 @@ fails here with its cause named, not only as a digest mismatch.
 import numpy as np
 import pytest
 
-from kincoop.pairsum import PairwiseRowSum, pairwise_tree
+from kincoop.pairsum import PairwiseRowSum, pairwise_tree, row_slots
 
 SIZES = [1, 7, 8, 9, 64, 71, 128, 129, 135, 992, 1024, 4096]
 
@@ -32,10 +32,10 @@ def assert_bits_equal(got, want, n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_full_rows_match_numpy_sum(n):
-    x = mixed_rows(np.random.default_rng(n), (2, 3, n))
-    rows, cols = np.divmod(np.arange(3 * n), n)
-    row_sum = PairwiseRowSum(rows, cols, 3, n, 2)
-    got = row_sum(x.reshape(2, -1)[row_sum.point, row_sum.term])
+    x = mixed_rows(np.random.default_rng(n), (6, n))
+    rows, cols = np.divmod(np.arange(6 * n), n)
+    row_sum = PairwiseRowSum(rows, cols, 6, n)
+    got = row_sum(x.reshape(-1)[row_sum.term])
     assert_bits_equal(got, x.sum(axis=-1), n)
 
 
@@ -44,22 +44,22 @@ def test_sparse_rows_match_dense_sum_with_signed_zeros(n):
     # the dense rows hold +0.0 and -0.0 off the stored terms, as the old
     # dense reward did; every row holds at least one term
     rng = np.random.default_rng(1000 + n)
-    x = mixed_rows(rng, (2, 3, n))
-    stored = rng.random((3, n)) < 0.1
+    x = mixed_rows(rng, (6, n))
+    stored = rng.random((6, n)) < 0.1
     stored[:, 0] |= ~stored.any(axis=1)
-    zeros = np.where(rng.random((2, 3, n)) < 0.5, -0.0, 0.0)
+    zeros = np.where(rng.random((6, n)) < 0.5, -0.0, 0.0)
     dense = np.where(stored, x, zeros)
     rows, cols = np.nonzero(stored)
-    row_sum = PairwiseRowSum(rows, cols, 3, n, 2)
-    got = row_sum(x[:, rows, cols][row_sum.point, row_sum.term])
+    row_sum = PairwiseRowSum(rows, cols, 6, n)
+    got = row_sum(x[rows, cols][row_sum.term])
     assert_bits_equal(got, dense.sum(axis=-1), n)
 
 
 def test_rows_without_terms_sum_to_zero():
-    row_sum = PairwiseRowSum(np.array([1]), np.array([5]), 3, 9, 1)
-    assert row_sum(np.array([2.5])).tolist() == [[0.0, 2.5, 0.0]]
-    empty = PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 2, 4, 2)
-    assert empty(np.zeros(0)).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    row_sum = PairwiseRowSum(np.array([1]), np.array([5]), 3, 9)
+    assert row_sum(np.array([2.5])).tolist() == [0.0, 2.5, 0.0]
+    empty = PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 4, 4)
+    assert empty(np.zeros(0)).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_tree_shapes():
@@ -70,3 +70,10 @@ def test_tree_shapes():
     assert pairwise_tree(264) == ([(0, 128), (128, 64), (192, 72)], (0, (1, 2)))
     leaves, _ = pairwise_tree(992)
     assert [length for _, length in leaves] == [120, 128] * 4
+
+
+@pytest.mark.parametrize("n,slots", [(1, 9), (7, 15), (8, 8), (64, 8), (71, 15), (135, 23), (1024, 64), (4096, 256)])
+def test_row_slots(n, slots):
+    # 8 accumulators per leaf, plus the last leaf's n % 8 tail
+    assert row_slots(n) == slots
+    assert PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1, n)._buffer.shape == (slots, 1)
