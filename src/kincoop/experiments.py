@@ -469,13 +469,10 @@ def _run_dispersal_group(
             config.validate_feasible()
         if genotypes is None:
             genotypes = enumerate_genotypes(configs[0].space)
-        nets, states = {}, []
+        nets = {}
         for partition in by_partition:
             rng = np.random.default_rng(seed)
             nets[partition] = build_partition_network(partition, genotypes, rng)
-            states.append(rng.bit_generator.state)
-        if any(state != states[0] for state in states):
-            raise RuntimeError("the partition networks of one group drew unequal streams")
     n_points, n_agents = len(configs), nets[configs[0].partition].node_count
 
     # Each point's edges read both ways, by agent and then by neighbour: the
