@@ -131,7 +131,9 @@ _shared_options = [
         help="Run with (true) or without (false) relatedness-weighted rewards",
     ),
     _out_dir_option,
-    click.option("--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"),
+    click.option(
+        "--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"
+    ),
     click.option("--plot/--no-plot", "plot", default=None, help="Emit SVG charts"),
 ]
 

@@ -197,9 +197,9 @@ def _learn(
     (points, *cells) bool actions (True = defect) to each cell's reward (it
     may draw more numbers from ``rng``), and the taken action's value moves
     toward it wherever ``active``, all selected by ``np.where`` bar the
-    sparse tie mask. A point
-    stops at the first step with epsilon at its floor and its greedy policy
-    unchanged for a full window; the loop ends when every point has stopped.
+    sparse tie mask. A point stops at the first step with epsilon at its
+    floor and its greedy policy unchanged for a full window; the loop ends
+    when every point has stopped.
     Snapshots start a window before the first floor step or at the final
     window, so the stable-step counter is exact wherever the rule reads it.
     """
@@ -379,7 +379,7 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
     key = _group_key(configs[0])
     if any(_group_key(other) != key for other in configs[1:]):
         raise ValueError(
-            "grouped configs may differ only in dilemma, inclusive and the partition's eta and k_avg"
+            "grouped configs may differ only in dilemma, inclusive and a partition's eta and k_avg"
         )
 
 
@@ -404,8 +404,8 @@ def _run_discrimination_group(
     similarity_override: Optional[np.ndarray] = None,
 ) -> list[RunResult]:
     """``run_discrimination`` for configs that share ``_group_key``, on one
-    network and one random stream; result ``k`` is
-    bit-identical to ``run_discrimination(configs[k], seed, ...)``."""
+    network and one random stream; result ``k`` is bit-identical to
+    ``run_discrimination(configs[k], seed, ...)``."""
     _check_group(configs, "discrimination")
     config = configs[0]
     config.validate_feasible()
@@ -453,7 +453,8 @@ def _run_dispersal_group(
     network_override: Optional[NetworkTopology] = None,
 ) -> list[RunResult]:
     """``run_dispersal`` for configs that share ``_group_key``, in one random
-    stream; result ``k`` is bit-identical to ``run_dispersal(configs[k], seed, ...)``.
+    stream; result ``k`` is bit-identical to ``run_dispersal(configs[k],
+    seed, ...)``.
 
     Each distinct partition's network is drawn from a fresh generator at
     ``seed``. Every such draw leaves the generator in the same state (see
@@ -523,13 +524,13 @@ def _run_dispersal_group(
         # order (see ``pairsum``), over the edges alone: one row per
         # (point, agent).
         point = np.repeat(np.arange(n_points), n_edges)
+        edge = np.arange(len(point)) - np.repeat(np.cumsum(n_edges) - n_edges, n_edges)
         rows = point * n_agents + np.concatenate(agents)
         other_rows = point * n_agents + np.concatenate(nbrs)
         row_sum = PairwiseRowSum(rows, np.concatenate(nbrs), n_points * n_agents, n_agents)
         e = row_sum.term
         own_at, other_at = rows[e], other_rows[e]
-        edge_start = np.cumsum(n_edges) - n_edges
-        lookup = 4 * point_col.ravel()[point[e]] + e - edge_start[point[e]]
+        lookup = 4 * n_cols * point[e] + edge[e]
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:

@@ -492,7 +492,9 @@ class TestDispersalGroups:
     @pytest.mark.parametrize("varied", sorted(PARTITIONS))
     def test_cross_partition_equals_single(self, varied, sampling):
         group = tuple(
-            small_dispersal(steps_max=300, partition=partition, inclusive=inclusive, edge_sampling=sampling)
+            small_dispersal(
+                steps_max=300, partition=partition, inclusive=inclusive, edge_sampling=sampling
+            )
             for partition in self.PARTITIONS[varied]
             for inclusive in (True, False)
         )
@@ -641,7 +643,8 @@ class TestGroupTasks:
             fields = vars(task.config)
             partition = fields["partition"]
             layout = partition and (partition.community_size, partition.community_count)
-            shared = [v for k, v in fields.items() if k not in ("dilemma", "inclusive", "partition")]
+            varied = ("dilemma", "inclusive", "partition")
+            shared = [value for name, value in fields.items() if name not in varied]
             return tuple(shared), layout, task.seed
 
         assert sorted((t for c in chunks for t in c), key=order) == sorted(tasks, key=order)
@@ -719,7 +722,12 @@ class TestGroupTasks:
 
     @pytest.mark.parametrize(
         "nodes,edge_sampling,sizes",
-        [((7, 32), False, [1] * 36), ((5, 32), False, [9] * 4), ((3, 8), False, [36]), ((7, 32), True, [36])],
+        [
+            ((7, 32), False, [1] * 36),
+            ((5, 32), False, [9] * 4),
+            ((3, 8), False, [36]),
+            ((7, 32), True, [36]),
+        ],
         ids=["4096-nodes", "1024-nodes", "64-nodes", "4096-nodes-edge-sampling"],
     )
     def test_large_dispersal_points_capped(self, nodes, edge_sampling, sizes):
@@ -727,7 +735,9 @@ class TestGroupTasks:
         # leaf: 8 MB at 4096 nodes, so a chunk of 36 would need 36 times a lone
         # run's memory. Edge sampling keeps no row sums.
         tasks = sweep_tasks(
-            lambda eta, boc, inclusive: self.dispersal(eta, boc, inclusive, nodes, edge_sampling=edge_sampling),
+            lambda eta, boc, inclusive: self.dispersal(
+                eta, boc, inclusive, nodes, edge_sampling=edge_sampling
+            ),
             eta=(0.05, 0.1, 0.5), boc=(2, 4, 6, 8, 10, 12), inclusive=(True, False),
         )
         chunks = self.chunk(tasks, 1)

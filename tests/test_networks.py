@@ -245,7 +245,9 @@ class TestStreamUse:
     unseen."""
 
     @pytest.mark.parametrize(
-        "space,community_size", [(GenotypeSpace(3, 2), 8), (GenotypeSpace(2, 3), 15)], ids=["64", "135"]
+        "space,community_size",
+        [(GenotypeSpace(3, 2), 8), (GenotypeSpace(2, 3), 15)],
+        ids=["64", "135"],
     )
     @pytest.mark.parametrize("seed", [1, 2])
     def test_state_left_independent_of_eta_and_k_avg(self, space, community_size, seed):

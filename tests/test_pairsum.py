@@ -72,8 +72,11 @@ def test_tree_shapes():
     assert [length for _, length in leaves] == [120, 128] * 4
 
 
-@pytest.mark.parametrize("n,slots", [(1, 9), (7, 15), (8, 8), (64, 8), (71, 15), (135, 23), (1024, 64), (4096, 256)])
+@pytest.mark.parametrize(
+    "n,slots", [(1, 9), (7, 15), (8, 8), (64, 8), (71, 15), (135, 23), (1024, 64), (4096, 256)]
+)
 def test_row_slots(n, slots):
     # 8 accumulators per leaf, plus the last leaf's n % 8 tail
     assert row_slots(n) == slots
-    assert PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1, n)._buffer.shape == (slots, 1)
+    empty = np.zeros(0, dtype=int)
+    assert PairwiseRowSum(empty, empty, 1, n)._buffer.shape == (slots, 1)
