@@ -571,7 +571,8 @@ class TestPairTable:
 
 class TestGroupMembers:
     """A strict subset of a group learns bit-identically; configs that
-    change the cell layout, the stream or the budget never share a group."""
+    change the state mask, the node layout, the stream or the budget never
+    share a group."""
 
     @pytest.mark.parametrize("kind", ["discrimination", "dispersal"])
     def test_chunk_equals_single(self, kind):
