@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +27,7 @@ from .experiments import ExperimentConfig
 from .games import DilemmaParams
 from .genotype import GenotypeSpace, MutationSpec, parse_genotype
 from .learning import LearnerConfig
-from .networks import PartitionSpec
+from .networks import InfeasiblePartitionError, PartitionSpec
 from .popreward import (
     AlwaysReproducePolicy,
     IdlePolicy,
@@ -342,7 +342,10 @@ def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]
     with _naming():
         points = tuple(points)
         for _, config in points:
-            config.validate_feasible()
+            try:
+                config.validate_feasible()
+            except InfeasiblePartitionError as exc:
+                raise ConfigError(f"partition.etas: {exc}") from exc
     return SweepPlan(
         points=points,
         seeds=_as_list(resolved["seeds"], "seeds", _as_seed),
@@ -360,15 +363,17 @@ def build_discrimination_plan(resolved: dict) -> SweepPlan:
     benefits = _as_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
     inclusive = _as_bool(resolved["inclusive"], "inclusive")
     self_play = _as_bool(resolved["self_play"], "self_play")
+    with _naming("dilemma"):
+        dilemmas = [DilemmaParams(benefit=benefit, cost=cost) for benefit in benefits]
     configs = (
         ExperimentConfig(
             kind="discrimination",
-            dilemma=DilemmaParams(benefit=benefit, cost=cost),
+            dilemma=dilemma,
             inclusive=inclusive,
             self_play=self_play,
             **shared,
         )
-        for benefit in benefits
+        for dilemma in dilemmas
     )
     # each ratio is taken once its dilemma has checked b > c > 0
     plan = _sweep_plan(resolved, (((c.dilemma.cost / c.dilemma.benefit,), c) for c in configs))
@@ -394,17 +399,26 @@ def build_dispersal_plan(resolved: dict) -> SweepPlan:
     community_size = _as_int(resolved["partition"]["community_size"], "partition.community_size")
     k_avg = _as_float(resolved["partition"]["k_avg"], "partition.k_avg")
     edge_sampling = _as_bool(resolved["edge_sampling"], "edge_sampling")
+    with _naming("dilemma"):
+        dilemmas = [DilemmaParams(benefit=boc * cost, cost=cost) for boc in b_over_c]
+    # each partition field is checked under its own key
+    with _naming("partition.community_size"):
+        partition = PartitionSpec(community_size, shared["space"].size, 1.0, 1.0)
+    with _naming("partition.k_avg"):
+        partition = replace(partition, k_avg=k_avg)
+    with _naming("partition.etas"):
+        partitions = [replace(partition, eta=eta) for eta in etas]
     return _sweep_plan(resolved, (
-        ((eta, boc, mode == "inclusive"), ExperimentConfig(
+        ((partition.eta, boc, mode == "inclusive"), ExperimentConfig(
             kind="dispersal",
-            dilemma=DilemmaParams(benefit=boc * cost, cost=cost),
+            dilemma=dilemma,
             inclusive=(mode == "inclusive"),
-            partition=PartitionSpec(community_size, shared["space"].size, k_avg, eta),
+            partition=partition,
             edge_sampling=edge_sampling,
             **shared,
         ))
-        for eta in etas
-        for boc in b_over_c
+        for partition in partitions
+        for boc, dilemma in zip(b_over_c, dilemmas)
         for mode in modes
     ))
 

@@ -16,22 +16,22 @@ supply what differs:
   mask of agents that have neighbors, and the mean reward over all
   neighbors, or the reward against one sampled neighbor.
 
-The dispersal rewards touch the edges alone. Each point's directed edges'
-pair rewards for the four action pairs are tabled once per group, with the
-similarity looked up per community pair. The mean over neighbors is the
-row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
-the edges, would give under numpy's ``sum(axis=-1)``, reproduced term for
-term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over one row
-per (point, agent), so it matches that dense mean bit for bit. Each step
+The dispersal rewards touch the edges alone. All points' directed edges,
+in one list, have their four action pairs' rewards tabled once per group,
+with the similarity looked up per community pair. The mean over neighbors
+is the row sum that the dense (agent, neighbor) matrix of pair rewards,
+zero off the edges, would give under numpy's ``sum(axis=-1)``, reproduced
+term for term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over
+one row per (point, agent), so it matches that dense mean bit for bit. Each step
 costs O(P·E) lookups and writes for P points of E edges, plus a fixed
 combine over about N·N/16 slots per point (8·N below 128 nodes); no N x N
 array is built unless a similarity override is given.
 
 Optionally each reward credits the opponent's payoff weighted by genetic
 similarity w: ``w * pm[other, own] + pm[own, other]``, written once, in
-``_pair_table``. A group tables it per point, action pair and weight (per
-distinct similarity in discrimination, per directed edge in dispersal), so
-every reward path is an index computation and one ``np.take``.
+``_pair_table``. A group tables it per action pair and (point, weight)
+column (per distinct similarity in discrimination, per directed edge in
+dispersal), so every reward path is an index computation and one ``np.take``.
 Randomness is consumed in fixed-shape blocks every step, so two runs that
 differ only in reward wiring draw identical streams; that is what makes
 the zero-similarity override produce bit-identical results for the
@@ -51,9 +51,9 @@ distinct partition, each from a fresh generator at the seed, and every
 draw leaves the generator in the same state; the points share that
 stream and every step's draws, each on its own network, with its own
 edges, degrees and isolated nodes. A discrimination group builds its
-network and similarity once. Each point has its own rows of the pair
-table, with weight 0.0 for a baseline point. That is exact: ``pm + 0.0 *
-x == pm``, as no payoff entry is -0.0. Any subset of a group learns
+network and similarity once. Each point has its own columns of the pair
+table, read with weight 0.0 for a baseline point. That is exact: ``pm +
+0.0 * x == pm``, as no payoff entry is -0.0. Any subset of a group learns
 bit-identically too, so the sweep halves groups to keep its workers busy
 (see ``_group_tasks``).
 
@@ -138,7 +138,7 @@ class ExperimentConfig:
             derive_partition_probs(self.partition)
         elif self.space.size > MAX_DISCRIMINATION_AGENTS:
             raise ValueError(
-                f"complete network over {self.space.size} genotypes exceeds "
+                f"genotype: complete network over {self.space.size} genotypes exceeds "
                 f"the {MAX_DISCRIMINATION_AGENTS}-agent limit"
             )
 
@@ -185,21 +185,19 @@ def _learn(
     active: np.ndarray,
     reward_fn: Callable[[np.ndarray], np.ndarray],
     rng: np.random.Generator,
-    points: int = 1,
 ) -> list[_Learned]:
     """Independent myopic epsilon-greedy Q-learners, one per cell, for each of
-    ``points`` parameter points that share ``rng``.
+    several parameter points that share ``rng``.
 
-    ``active`` is a boolean (points, *cells) mask, or (1, *cells) when every
-    point has the same one. Every step draws three blocks in the cells'
-    shape (explore flags, random actions, tie coins) and uses them for every
-    point: greedy actions with coin tie-breaks, then ``reward_fn`` maps the
-    (points, *cells) bool actions (True = defect) to each cell's reward (it
-    may draw more numbers from ``rng``), and the taken action's value moves
-    toward it wherever ``active``, all selected by ``np.where`` bar the
-    sparse tie mask. A point stops at the first step with epsilon at its
-    floor and its greedy policy unchanged for a full window; the loop ends
-    when every point has stopped.
+    ``active`` is a boolean (points, *cells) mask, maybe a broadcast view.
+    Every step draws three blocks in the cells' shape (explore flags, random
+    actions, tie coins) and uses them for every point: greedy actions with
+    coin tie-breaks, then ``reward_fn`` maps the (points, *cells) bool actions
+    (True = defect) to each cell's reward (it may draw more numbers from
+    ``rng``), and the taken action's value moves toward it wherever
+    ``active``, all selected by ``np.where`` bar the sparse tie mask. A point
+    stops at the first step with epsilon at its floor and its greedy policy
+    unchanged for a full window; the loop ends when every point has stopped.
     Snapshots start a window before the first floor step or at the final
     window, so the stable-step counter is exact wherever the rule reads it.
     """
@@ -207,16 +205,16 @@ def _learn(
     epsilons = [epsilon_at(learner, t) for t in range(config.steps_max)]
     floor_steps = (t for t, eps in enumerate(epsilons) if eps <= learner.epsilon_min)
     watch_from = max(0, next(floor_steps, config.steps_max - 1) + 1 - config.window)
-    shape = active.shape[1:]
-    q_c = np.full((points,) + shape, learner.q_init, dtype=float)  # value of cooperating
+    points, shape = active.shape[0], active.shape[1:]
+    q_c = np.full(active.shape, learner.q_init, dtype=float)  # value of cooperating
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
     all_active = bool(active.all())
 
-    greedy = np.empty((points,) + shape, dtype=bool)  # True = defect
+    greedy = np.empty(active.shape, dtype=bool)  # True = defect
     # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
-    coop_count = np.zeros((points,) + shape, dtype=np.int64)
-    prev_greedy = np.zeros((points,) + shape, dtype=np.int8)
+    coop_count = np.zeros(active.shape, dtype=np.int64)
+    prev_greedy = np.zeros(active.shape, dtype=np.int8)
     stable_steps = np.zeros(points, dtype=np.int64)  # 1 after the watch step, whatever prev_greedy
     learned: list[Optional[_Learned]] = [None] * points
 
@@ -330,8 +328,8 @@ def run_discrimination(
     uses a single action for both roles and full self-relatedness, so its
     reward is twice the individual payoff when rewards are inclusive.
 
-    Each distinct similarity adds one pair-table column: a few for lattice
-    values k/loci, about N x N (a per-cell table) for an all-distinct override.
+    Each distinct similarity adds a pair-table column per point: a few for
+    lattice values k/loci, about N x N per point for an all-distinct override.
     """
     (result,) = _run_discrimination_group((config,), seed, genotypes, similarity_override)
     return result
@@ -383,18 +381,18 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
         )
 
 
-def _pair_table(configs: Sequence[ExperimentConfig], weights: np.ndarray) -> np.ndarray:
-    """Each point's kin-weighted pair reward per action pair and weight:
-    ``table[p, 2 * a_own + a_other, k]`` is ``w * pm[a_other, a_own] +
-    pm[a_own, a_other]`` for point ``p``'s payoff matrix ``pm``, where ``w`` is
-    ``weights[..., k]`` (shared, or ``weights[p, k]`` per point) for an
-    inclusive point and 0.0 for a baseline one.
-    ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so a baseline
-    point's reward is its own payoff bit for bit."""
-    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
-    inclusive = np.array([c.inclusive for c in configs])[:, None, None]
-    w = np.where(inclusive, np.expand_dims(weights, -2), 0.0)
-    return w * pms.swapaxes(1, 2).reshape(-1, 4, 1) + pms.reshape(-1, 4, 1)
+def _pair_table(
+    configs: Sequence[ExperimentConfig], point: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """The kin-weighted pair reward per action pair and column:
+    ``table[2 * a_own + a_other, j]`` is ``w * pm[a_other, a_own] +
+    pm[a_own, a_other]`` for the payoff matrix ``pm`` of point ``point[j]``,
+    where ``w`` is ``weights[j]`` for an inclusive point and 0.0 for a
+    baseline one. ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so
+    a baseline point's reward is its own payoff bit for bit."""
+    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])[point]  # [column, own, other]
+    w = np.where(np.array([c.inclusive for c in configs])[point], weights, 0.0)
+    return w * pms.swapaxes(1, 2).reshape(-1, 4).T + pms.reshape(-1, 4).T
 
 
 def _run_discrimination_group(
@@ -419,12 +417,13 @@ def _run_discrimination_group(
     sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-    # One table column per distinct weight; ``offset[p, i, j]`` is cell (i, j)'s
-    # flat index into point p's rows, at action-pair row 0.
+    # One table column per (point, distinct weight); ``offset[p, i, j]`` is
+    # cell (i, j)'s column for point p, its flat index at action-pair row 0.
     values, column = np.unique(weights, return_inverse=True)
-    table = _pair_table(configs, values).ravel()
     n_points, n_values = len(configs), len(values)
-    offset = column.reshape(weights.shape) + 4 * n_values * np.arange(n_points)[:, None, None]
+    n_cols = n_points * n_values
+    table = _pair_table(configs, np.arange(n_cols) // n_values, np.tile(values, n_points)).ravel()
+    offset = column.reshape(weights.shape) + n_values * np.arange(n_points)[:, None, None]
     del weights, column
     state_mask = np.ones((n_agents, n_agents), dtype=bool)
     if not config.self_play:
@@ -434,11 +433,12 @@ def _run_discrimination_group(
         own = acts.astype(np.intp)
         index = own + own
         index += own.swapaxes(-1, -2)
-        index *= n_values
+        index *= n_cols
         index += offset
         return np.take(table, index)  # [p, i, j]: i's reward for its game with j
 
-    learned = _learn(config, state_mask[None], reward_fn, np.random.default_rng(seed), n_points)
+    active = np.broadcast_to(state_mask, (n_points, n_agents, n_agents))
+    learned = _learn(config, active, reward_fn, np.random.default_rng(seed))
     return [
         _run_result(point_config, seed, net, sim, state_mask, point_learned)
         for point_config, point_learned in zip(configs, learned)
@@ -485,52 +485,39 @@ def _run_dispersal_group(
         agent, nbr = agent[by_agent], nbr[by_agent]
         return agent, nbr, _edge_similarity(net, similarity_override, agent, nbr)
 
+    # Every point's directed edges in one list, point by point: the table's
+    # columns, then one zero-weight column where an isolated agent's pick
+    # after the last edge lands (the kernel masks its update).
     edges = {partition: directed(net) for partition, net in nets.items()}
-    agents, nbrs, sims = zip(*(edges[c.partition] for c in configs))
-    n_edges = np.array([len(agent) for agent in agents])
-    nbr_count = np.stack([np.bincount(agent, minlength=n_agents) for agent in agents])
+    parts = [edges[c.partition] for c in configs]
+    point = np.repeat(np.arange(n_points), [len(part[0]) for part in parts])
+    agent, nbr, sim = map(np.concatenate, zip(*parts))
+    rows, other_rows = point * n_agents + agent, point * n_agents + nbr
+    nbr_count = np.bincount(rows, minlength=n_points * n_agents).reshape(n_points, n_agents)
     has_neighbors = nbr_count > 0
-    # Each point's edge pair rewards, then zero-similarity columns up to the
-    # longest edge list: the pick of an isolated agent after its point's last
-    # edge lands there, and the kernel masks its update.
-    n_cols = int(n_edges.max()) + 1
-    weights = np.zeros((n_points, n_cols))
-    for p, sim in enumerate(sims):
-        weights[p, : len(sim)] = sim
-    table = _pair_table(configs, weights).ravel()
-    point_col = n_cols * np.arange(n_points)[:, None]
+    n_cols = len(point) + 1
+    table = _pair_table(configs, np.append(point, 0), np.append(sim, 0.0)).ravel()
 
     if configs[0].edge_sampling:
-        # Neighbor lists in CSR form, per point; only each agent's picked
-        # pair is evaluated. ``nbr_at`` holds the picked neighbour's index
-        # into the (point, agent) actions.
-        nbr_at = np.zeros((n_points, n_cols), dtype=np.intp)
-        for p, nbr in enumerate(nbrs):
-            nbr_at[p, : len(nbr)] = nbr
-        nbr_at += n_agents * np.arange(n_points)[:, None]
-        nbr_start = np.cumsum(nbr_count, axis=1) - nbr_count
+        # Neighbour lists in CSR form over the (point, agent) rows; only each
+        # agent's picked pair is evaluated.
+        nbr_start = (np.cumsum(nbr_count) - nbr_count.ravel()).reshape(n_points, n_agents)
+        nbr_at = np.append(other_rows, 0)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             picks = rng.random(n_agents)
             pick = nbr_start + (picks * nbr_count).astype(np.intp)
             own = acts.astype(np.intp)
-            other = np.take(own, np.take(nbr_at, pick + point_col))
-            index = (own + own + other) * n_cols + pick + 4 * point_col
-            return np.take(table, index)
+            other = np.take(own, np.take(nbr_at, pick))
+            return np.take(table, (own + own + other) * n_cols + pick)
 
     else:
         # The mean over neighbours is the row sum of the dense (agent,
         # neighbour) pair rewards, zero off the edges, in numpy's pairwise
         # order (see ``pairsum``), over the edges alone: one row per
         # (point, agent).
-        point = np.repeat(np.arange(n_points), n_edges)
-        edge = np.arange(len(point)) - np.repeat(np.cumsum(n_edges) - n_edges, n_edges)
-        rows = point * n_agents + np.concatenate(agents)
-        other_rows = point * n_agents + np.concatenate(nbrs)
-        row_sum = PairwiseRowSum(rows, np.concatenate(nbrs), n_points * n_agents, n_agents)
-        e = row_sum.term
-        own_at, other_at = rows[e], other_rows[e]
-        lookup = 4 * n_cols * point[e] + edge[e]
+        row_sum = PairwiseRowSum(rows, nbr, n_points * n_agents, n_agents)
+        own_at, other_at = rows[row_sum.term], other_rows[row_sum.term]
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
@@ -540,10 +527,10 @@ def _run_dispersal_group(
             index = np.take(scaled, own_at)
             index += index
             index += np.take(scaled, other_at)
-            index += lookup
+            index += row_sum.term
             return row_sum(np.take(table, index)).reshape(n_points, n_agents) / degree_safe
 
-    learned = _learn(configs[0], has_neighbors, reward_fn, rng, n_points)
+    learned = _learn(configs[0], has_neighbors, reward_fn, rng)
     return [
         _run_result(point_config, seed, nets[point_config.partition], None, None, point_learned)
         for point_config, point_learned in zip(configs, learned)

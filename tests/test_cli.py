@@ -684,7 +684,7 @@ VALIDATE_TABLE = [
      "Error: genotype.loci: expected an integer, got 'x'"),
     ('discrimination.yaml', 'genotype.loci=0', 2, 'Error: genotype: loci must be >= 1'),
     ('discrimination.yaml', 'genotype.loci=11', 2,
-     'Error: complete network over 2048 genotypes exceeds the 1024-agent limit'),
+     'Error: genotype: complete network over 2048 genotypes exceeds the 1024-agent limit'),
     ('discrimination.yaml', 'genotype.loci=100000', 2,
      'Error: genotype: variants^loci = 2^100000 exceeds the 1048576 genotypes that can be enumerated'),
     ('discrimination.yaml', 'genotype.variants=x', 2,
@@ -693,11 +693,11 @@ VALIDATE_TABLE = [
     ('discrimination.yaml', 'dilemma.cost=x', 2,
      "Error: dilemma.cost: expected a number, got 'x'"),
     ('discrimination.yaml', 'dilemma.cost=-1', 2,
-     'Error: need benefit > cost > 0 for a dilemma, got b=4.0, c=-1.0'),
+     'Error: dilemma: need benefit > cost > 0 for a dilemma, got b=4.0, c=-1.0'),
     ('discrimination.yaml', 'dilemma.benefits=x', 2,
      'Error: dilemma.benefits: expected a non-empty list of numbers'),
     ('discrimination.yaml', 'dilemma.benefits=[0.5]', 2,
-     'Error: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
+     'Error: dilemma: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
     ('discrimination.yaml', 'inclusive=x', 2, "Error: inclusive: expected true/false, got 'x'"),
     ('discrimination.yaml', 'self_play=x', 2, "Error: self_play: expected true/false, got 'x'"),
     ('discrimination.yaml', 'learner.alpha=x', 2,
@@ -725,19 +725,22 @@ VALIDATE_TABLE = [
      'Error: genotype: variants^loci = 2^100000 exceeds the 1048576 genotypes that can be enumerated'),
     ('dispersal.yaml', 'partition.community_size=x', 2,
      "Error: partition.community_size: expected an integer, got 'x'"),
-    ('dispersal.yaml', 'partition.community_size=1', 2, 'Error: community_size must be >= 2'),
+    ('dispersal.yaml', 'partition.community_size=1', 2,
+     'Error: partition.community_size: community_size must be >= 2'),
     ('dispersal.yaml', 'partition.k_avg=x', 2,
      "Error: partition.k_avg: expected a number, got 'x'"),
-    ('dispersal.yaml', 'partition.k_avg=0', 2, 'Error: k_avg must be > 0'),
+    ('dispersal.yaml', 'partition.k_avg=0', 2,
+     'Error: partition.k_avg: k_avg must be > 0'),
     ('dispersal.yaml', 'partition.etas=x', 2,
      'Error: partition.etas: expected a non-empty list of numbers'),
-    ('dispersal.yaml', 'partition.etas=[0]', 2, 'Error: eta must be in (0, 1], got 0.0'),
+    ('dispersal.yaml', 'partition.etas=[0]', 2,
+     'Error: partition.etas: eta must be in (0, 1], got 0.0'),
     ('dispersal.yaml', 'partition.etas=[0.001]', 2,
-     'Error: eta=0.001 is infeasible for k_avg=9.0: it requires p_in=1.27551 > 1; the minimal feasible eta is 0.0357143'),
+     'Error: partition.etas: eta=0.001 is infeasible for k_avg=9.0: it requires p_in=1.27551 > 1; the minimal feasible eta is 0.0357143'),
     ('dispersal.yaml', 'dilemma.b_over_c=x', 2,
      'Error: dilemma.b_over_c: expected a non-empty list of numbers'),
     ('dispersal.yaml', 'dilemma.b_over_c=[0.5]', 2,
-     'Error: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
+     'Error: dilemma: need benefit > cost > 0 for a dilemma, got b=0.5, c=1.0'),
     ('dispersal.yaml', 'modes=x', 2, 'Error: modes: expected a non-empty list'),
     ('dispersal.yaml', 'modes=[other]', 2,
      "Error: modes: entries must be 'inclusive' or 'baseline', got 'other'"),

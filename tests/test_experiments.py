@@ -138,13 +138,13 @@ class TestConvergence:
         assert res.steps_run == 400
 
 
-def reference_learn(config, active, reward_fn, rng, points=1):
+def reference_learn(config, active, reward_fn, rng):
     """The learning kernel as it was before its selections became branchless:
     masked copies for the explore pick and the value updates, int8 actions,
     and a greedy snapshot, its comparison and the stable-step counter at
-    every step. ``active`` is (points, *cells), or (1, *cells) when shared."""
+    every step. ``active`` is (points, *cells)."""
     learner = resolve_decay(config.learner, config.steps_max)
-    shape = active.shape[1:]
+    points, shape = active.shape[0], active.shape[1:]
     q_c = np.full((points,) + shape, learner.q_init, dtype=float)
     q_d = q_c.copy()
     gap = q_c - q_d
@@ -560,13 +560,14 @@ class TestPairTable:
         lattice = np.arange(loci + 1) / loci
         table = _pair_table(
             [small_discrimination(dilemma=dilemma, inclusive=inc) for inc in (True, False)],
-            lattice,
+            np.repeat([0, 1], loci + 1),
+            np.tile(lattice, 2),
         )
-        assert table.shape == (2, 4, loci + 1)
+        assert table.shape == (4, 2 * (loci + 1))
         for k, h in enumerate(lattice):
-            assert np.allclose(table[0, :, k].reshape(2, 2), transformed_matrix(dilemma, h))
+            assert np.allclose(table[:, k].reshape(2, 2), transformed_matrix(dilemma, h))
             # a baseline point's rewards are its payoffs, bit for bit
-            assert table[1, :, k].tobytes() == payoff_matrix(dilemma).tobytes()
+            assert table[:, loci + 1 + k].tobytes() == payoff_matrix(dilemma).tobytes()
 
 
 class TestGroupMembers:
