@@ -390,9 +390,12 @@ def _pair_table(
     where ``w`` is ``weights[j]`` for an inclusive point and 0.0 for a
     baseline one. ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so
     a baseline point's reward is its own payoff bit for bit."""
-    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])[point]  # [column, own, other]
-    w = np.where(np.array([c.inclusive for c in configs])[point], weights, 0.0)
-    return w * pms.swapaxes(1, 2).reshape(-1, 4).T + pms.reshape(-1, 4).T
+    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
+    # in place, so the build needs one table-sized temporary, not three
+    table = np.take(pms.swapaxes(1, 2).reshape(-1, 4).T, point, axis=1)
+    table *= np.where(np.array([c.inclusive for c in configs])[point], weights, 0.0)
+    table += np.take(pms.reshape(-1, 4).T, point, axis=1)
+    return table
 
 
 def _run_discrimination_group(
