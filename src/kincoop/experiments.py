@@ -16,13 +16,13 @@ supply what differs:
   mask of agents that have neighbors, and the mean reward over all
   neighbors, or the reward against one sampled neighbor.
 
-The dispersal rewards touch the edges alone. All points' directed edges,
-in one list, have their four action pairs' rewards tabled once per group,
-with the similarity looked up per community pair. The mean over neighbors
-is the row sum that the dense (agent, neighbor) matrix of pair rewards,
-zero off the edges, would give under numpy's ``sum(axis=-1)``, reproduced
-term for term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over
-one row per (point, agent), so it matches that dense mean bit for bit. Each step
+The dispersal rewards touch the edges alone. All points' directed edges, in
+one list, have their four action pairs' rewards tabled once per group, with
+the similarity looked up per community pair. The mean over neighbors is the
+row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
+the edges, would give under numpy's ``sum(axis=-1)``, reproduced term for
+term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over one row
+per (point, agent), so it matches that dense mean bit for bit. Each step
 costs O(P·E) lookups and writes for P points of E edges, plus a fixed
 combine over about N·N/16 slots per point (8·N below 128 nodes); no N x N
 array is built unless a similarity override is given.
@@ -502,9 +502,9 @@ def _run_dispersal_group(
     table = _pair_table(configs, np.append(point, 0), np.append(sim, 0.0)).ravel()
 
     if configs[0].edge_sampling:
-        # Neighbour lists in CSR form over the (point, agent) rows; only each
-        # agent's picked pair is evaluated.
-        nbr_start = (np.cumsum(nbr_count) - nbr_count.ravel()).reshape(n_points, n_agents)
+        # CSR neighbour lists over the (point, agent) rows: ``nbr_at`` holds
+        # each column's neighbour row. Only each agent's picked pair is evaluated.
+        nbr_start = np.cumsum(nbr_count).reshape(n_points, n_agents) - nbr_count
         nbr_at = np.append(other_rows, 0)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
