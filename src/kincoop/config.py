@@ -328,11 +328,19 @@ class SandboxPlan:
 
 def _shared_fields(resolved: dict) -> dict:
     """The ``ExperimentConfig`` fields that every point of a sweep shares."""
+    steps_max = _as_int(resolved["steps_max"], "steps_max")
+    window = _as_int(resolved["window"], "window")
+    if window <= 0:
+        raise ConfigError(f"window: expected a positive integer, got {window}")
+    if steps_max <= window:
+        raise ConfigError(
+            f"steps_max: expected an integer above window ({window}), got {steps_max}"
+        )
     return dict(
         space=_build_space(resolved),
         learner=_build_learner(resolved["learner"], "learner"),
-        steps_max=_as_int(resolved["steps_max"], "steps_max"),
-        window=_as_int(resolved["window"], "window"),
+        steps_max=steps_max,
+        window=window,
     )
 
 

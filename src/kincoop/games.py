@@ -31,15 +31,16 @@ def payoff_matrix(params: DilemmaParams) -> np.ndarray:
 
 
 def transformed_matrix(params: DilemmaParams, h: float) -> np.ndarray:
-    """Row player's relatedness-weighted payoffs, indexed [own, other].
-
-    At h=0 this is the original dilemma; for large enough h mutual
-    cooperation becomes the unique equilibrium (a harmony game).
+    """Row player's relatedness-weighted payoffs, indexed [own, other]:
+    ``h * pm[other, own] + pm[own, other]`` for ``pm = payoff_matrix(params)``,
+    the expression, and so the bits, of ``experiments._pair_table``. At h=0
+    this is the original dilemma; for large enough h mutual cooperation
+    becomes the unique equilibrium (a harmony game).
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"relatedness must be in [0, 1], got {h}")
-    b, c = params.benefit, params.cost
-    return np.array([[(b - c) * (1 + h), -c + h * b], [b - h * c, 0.0]])
+    pm = payoff_matrix(params)
+    return h * pm.T + pm
 
 
 def cooperation_favored(params: DilemmaParams, h: float) -> bool:

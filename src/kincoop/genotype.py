@@ -43,6 +43,8 @@ class GenotypeSpace:
             raise ValueError("loci must be >= 1")
         if self.variants < 2:
             raise ValueError("variants must be >= 2")
+        if self.variants > 2**63:  # so genes, and mutation's draw bound, fit int64
+            raise ValueError(f"variants must be <= 2**63, got {self.variants}")
 
     @property
     def size(self) -> int:
@@ -85,10 +87,17 @@ def hamming_similarity(a: Genotype, b: Genotype) -> float:
     return match_count(a, b) / len(a)
 
 
+def match_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``out[i, j] = match_count(rows[i], cols[j])`` as int64, for int64
+    genotype arrays of shapes ``(R, loci)`` and ``(C, loci)``; R or C may be 0."""
+    return np.add.reduce(rows[:, None, :] == cols[None, :, :], axis=2, dtype=np.int64)
+
+
 def similarity_matrix(genotypes: list[Genotype]) -> np.ndarray:
     """Symmetric matrix of pairwise Hamming similarities for a fixed population.
 
-    Precomputed once per experiment so the per-interaction cost is a lookup.
+    Precomputed once per experiment so the per-interaction cost is a lookup;
+    each entry equals ``hamming_similarity`` bit for bit.
     """
     if not genotypes:
         raise ValueError("need at least one genotype")
@@ -96,7 +105,7 @@ def similarity_matrix(genotypes: list[Genotype]) -> np.ndarray:
     if any(len(g) != n for g in genotypes):
         raise ValueError("all genotypes must have the same length")
     arr = np.array(genotypes, dtype=np.int64)
-    return (arr[:, None, :] == arr[None, :, :]).mean(axis=2)
+    return match_matrix(arr, arr) / n
 
 
 def enumerate_genotypes(space: GenotypeSpace) -> list[Genotype]:

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional, Protocol, TextIO
 import numpy as np
 
 from .genotype import (
-    Genotype, GenotypeSpace, MutationSpec, format_genotype, hamming_similarity, match_count, mutate,
+    Genotype, GenotypeSpace, MutationSpec, format_genotype, hamming_similarity, match_matrix, mutate,
 )
 from .ioutil import fmt
 from .learning import LearnerConfig, epsilon_at, q_update
@@ -88,84 +88,33 @@ def replication_reward(
     return born - died
 
 
-class _MatchCounts:
-    """Integer locus-match counts between genotypes, filled lazily.
-
-    Genotypes get dense ids in the order first seen, and a pair's count is
-    computed the first time it is asked for, so memory grows with the pairs
-    that actually meet, never with the size of the genotype space. The
-    float similarity ``matches / loci`` is kept beside each count; it is
-    bit-for-bit what ``hamming_similarity`` returns.
-    """
-
-    def __init__(self):
-        self._ids: dict[Genotype, int] = {}
-        self._genotypes: list[Genotype] = []
-        self._counts: list[dict[int, int]] = []
-        self._sims: list[dict[int, float]] = []
-
-    def index(self, g: Genotype) -> int:
-        i = self._ids.get(g)
-        if i is None:
-            i = self._ids[g] = len(self._genotypes)
-            self._genotypes.append(g)
-            self._counts.append({})
-            self._sims.append({})
-        return i
-
-    def census(self, state: PopulationState):
-        """Distinct genotypes of ``state``, their ids and copy counts, in ``Counter`` order."""
-        counts = Counter(g for _, g in state.alive)
-        return list(counts), [self.index(g) for g in counts], list(counts.values())
-
-    def _fill(self, i: int, js: list[int]) -> None:
-        a, counts, sims = self._genotypes[i], self._counts[i], self._sims[i]
-        for j in js:
-            if j not in counts:
-                m = match_count(a, self._genotypes[j])
-                counts[j] = self._counts[j][i] = m
-                sims[j] = self._sims[j][i] = m / len(a)
-
-    def _lookup(self, table: list[dict], i: int, js: list[int]) -> list:
-        try:
-            return list(map(table[i].__getitem__, js))
-        except KeyError:
-            self._fill(i, js)
-            return list(map(table[i].__getitem__, js))
-
-    def matches(self, i: int, js: list[int]) -> list[int]:
-        """Match counts of genotype ``i`` against each id in ``js``, in order."""
-        return self._lookup(self._counts, i, js)
-
-    def similarities(self, i: int, js: list[int]) -> list[float]:
-        """Hamming similarities of genotype ``i`` to each id in ``js``, in order."""
-        return self._lookup(self._sims, i, js)
-
-
 def _step_rewards(
-    curr: PopulationState, born: list[Genotype], died: list[Genotype], matches: _MatchCounts
+    curr: PopulationState, born: list[Genotype], died: list[Genotype], loci: int
 ) -> dict[int, RewardTriple]:
     """All three rewards of every agent alive in ``curr``, given the genotypes
     of the step's births and deaths in the order the trace records them.
 
     Agents that share a genotype share a reward, so each ``RewardTriple``
-    is computed once per distinct genotype: O(G·(G + B + D)) similarity
-    lookups per step for G distinct genotypes alive, B births and D deaths,
-    instead of O(pop·(G + B + D)). The floats are exactly those of the
-    per-agent free functions summed in ``Counter`` order: the same terms
-    go through the same ``_left_sum``, because a learning policy compares
-    these values and a one-ulp change would alter its choices.
+    is computed once per distinct genotype, from one match matrix of the G
+    distinct genotypes alive against those G, the B births and the D deaths:
+    one transient G × (G + B + D) × loci comparison per step, whatever the
+    size of the genotype space. The floats are exactly those of the
+    per-agent free functions summed in ``Counter`` order: each count is
+    divided once by ``loci`` as ``hamming_similarity`` divides it, and the
+    same terms go through the same ``_left_sum``, because a learning policy
+    compares these values and a one-ulp change would alter its choices.
     """
-    genotypes, alive, copies = matches.census(curr)
-    born_ids = [matches.index(g) for g in born]
-    died_ids = [matches.index(g) for g in died]
+    counts = Counter(g for _, g in curr.alive)
+    genotypes, copies = list(counts), list(counts.values())
+    n_alive, born_end = len(genotypes), len(genotypes) + len(born)
+    arr = np.array(genotypes + born + died, dtype=np.int64).reshape(-1, loci)
+    sims = (match_matrix(arr[:n_alive], arr) / loci).tolist()
     by_genotype: dict[Genotype, RewardTriple] = {}
-    for g, i in zip(genotypes, alive):
-        sims = matches.similarities(i, alive)
-        r_long = _left_sum(sims)
-        r_comb = _left_sum(map(operator.mul, copies, sims))
-        r_repl = _left_sum(matches.similarities(i, born_ids))
-        r_repl -= _left_sum(matches.similarities(i, died_ids))
+    for g, row in zip(genotypes, sims):
+        alive = row[:n_alive]
+        r_long = _left_sum(alive)
+        r_comb = _left_sum(map(operator.mul, copies, alive))
+        r_repl = _left_sum(row[n_alive:born_end]) - _left_sum(row[born_end:])
         by_genotype[g] = RewardTriple(r_long, r_repl, r_comb)
     return {aid: by_genotype[g] for aid, g in curr.alive}
 
@@ -360,8 +309,6 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         pop_before=[],
         rewards=[],
     )
-    matches = _MatchCounts()
-
     for t in range(1, config.steps + 1):
         if not agents:
             break
@@ -412,7 +359,7 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
 
         # a newborn never dies in its birth step: its health is a positive share
         step_rewards = _step_rewards(
-            state, [c.genotype for c in newborns], [g for _, g, _ in dead], matches
+            state, [c.genotype for c in newborns], [g for _, g, _ in dead], config.space.loci
         )
         trace.rewards.append(step_rewards)
         for aid, reproduced in decisions.items():
@@ -434,33 +381,26 @@ def replication_identity_error(trace: PopulationTrace) -> float:
     reward, built from the states alone. Both describe the same quantity,
     so anything beyond float noise indicates a bookkeeping bug.
 
-    The state side is exact: for each distinct genotype g of a state the
-    integer ``Σ_u count_u · matches(g, u)`` is computed once, and the
-    change is divided by ``loci`` a single time. Cost is O(T·G²) match
-    lookups for G distinct genotypes alive, not O(T·pop²).
+    The state side is exact: the integer change ``Σ_u now_u · matches(g, u) -
+    Σ_u before_u · matches(g, u)`` of a state's G distinct genotypes is one
+    int64 product of their match matrix against them and the previous
+    state's G' distinct genotypes, and it is divided by ``loci`` once. Cost
+    is one transient G × (G + G') × loci comparison per step, not O(pop²).
     """
-    matches = _MatchCounts()
-
-    def combined_int(i: int, ids: list[int], copies: list[int]) -> int:
-        return sum(map(operator.mul, copies, matches.matches(i, ids)))
-
     worst = 0.0
-    _, prev_ids, prev_copies = matches.census(trace.states[0])
-    prev_combined: dict[int, int] = {}
+    prev = Counter(g for _, g in trace.states[0].alive)
     for t in range(1, len(trace.states)):
         curr = trace.states[t]
-        genotypes, ids, copies = matches.census(curr)
-        combined = {i: combined_int(i, ids, copies) for i in ids}
-        delta: dict[Genotype, float] = {}
-        for g, i in zip(genotypes, ids):
-            before = prev_combined.get(i)
-            if before is None:
-                before = combined_int(i, prev_ids, prev_copies)
-            delta[g] = (combined[i] - before) / len(g)
-        step = trace.rewards[t - 1]
-        for aid, g in curr.alive:
-            worst = max(worst, abs(step[aid].replication - delta[g]))
-        prev_ids, prev_copies, prev_combined = ids, copies, combined
+        counts = Counter(g for _, g in curr.alive)
+        if counts:
+            arr = np.array([*counts, *prev], dtype=np.int64)
+            weights = np.array([*counts.values(), *(-c for c in prev.values())], dtype=np.int64)
+            change = match_matrix(arr[: len(counts)], arr) @ weights
+            delta = dict(zip(counts, (change / arr.shape[1]).tolist()))
+            step = trace.rewards[t - 1]
+            for aid, g in curr.alive:
+                worst = max(worst, abs(step[aid].replication - delta[g]))
+        prev = counts
     return worst
 
 

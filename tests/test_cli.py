@@ -677,9 +677,10 @@ VALIDATE_TABLE = [
      'Error: seeds[1]: expected a non-negative integer, got -1'),
     ('discrimination.yaml', 'out_dir=3', 2, 'Error: out_dir: expected a directory path, got 3'),
     ('discrimination.yaml', 'steps_max=x', 2, "Error: steps_max: expected an integer, got 'x'"),
-    ('discrimination.yaml', 'steps_max=0', 2, 'Error: need steps_max > window > 0'),
+    ('discrimination.yaml', 'steps_max=0', 2,
+     'Error: steps_max: expected an integer above window (200), got 0'),
     ('discrimination.yaml', 'window=x', 2, "Error: window: expected an integer, got 'x'"),
-    ('discrimination.yaml', 'window=0', 2, 'Error: need steps_max > window > 0'),
+    ('discrimination.yaml', 'window=0', 2, 'Error: window: expected a positive integer, got 0'),
     ('discrimination.yaml', 'genotype.loci=x', 2,
      "Error: genotype.loci: expected an integer, got 'x'"),
     ('discrimination.yaml', 'genotype.loci=0', 2, 'Error: genotype: loci must be >= 1'),
@@ -756,6 +757,12 @@ VALIDATE_TABLE = [
     ('sandbox.yaml', 'genotype.variants=x', 2,
      "Error: genotype.variants: expected an integer, got 'x'"),
     ('sandbox.yaml', 'genotype.variants=1', 2, 'Error: genotype: variants must be >= 2'),
+    ('sandbox.yaml', 'genotype.variants=9223372036854775808', 0,
+     'OK: valid sandbox configuration (hash 6e2234cb4074)'),
+    ('sandbox.yaml', 'genotype.variants=9223372036854775809', 2,
+     'Error: genotype: variants must be <= 2**63, got 9223372036854775809'),
+    ('sandbox.yaml', 'genotype.variants=100000000000000000000', 2,
+     'Error: genotype: variants must be <= 2**63, got 100000000000000000000'),
     ('sandbox.yaml', 'initial_genotype=x', 2,
      "Error: initial_genotype: malformed genotype string 'x'"),
     ('sandbox.yaml', 'initial_genotype=0-0-0-9', 2,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -550,8 +551,8 @@ class TestDiscriminationGroups:
 
 
 class TestPairTable:
-    """The one kin-weighted pair-reward table against the closed form of
-    the relatedness-weighted game, at every similarity lattice value."""
+    """The one kin-weighted pair-reward table against the relatedness-weighted
+    game, bit for bit, at every similarity lattice value."""
 
     @pytest.mark.parametrize("loci", [1, 3, 8])
     @pytest.mark.parametrize("benefit,cost", [(2.0, 1.0), (4.0, 1.0), (3.7, 0.3), (12.0, 5.0)])
@@ -565,9 +566,23 @@ class TestPairTable:
         )
         assert table.shape == (4, 2 * (loci + 1))
         for k, h in enumerate(lattice):
-            assert np.allclose(table[:, k].reshape(2, 2), transformed_matrix(dilemma, h))
+            assert table[:, k].tobytes() == transformed_matrix(dilemma, h).tobytes()
             # a baseline point's rewards are its payoffs, bit for bit
             assert table[:, loci + 1 + k].tobytes() == payoff_matrix(dilemma).tobytes()
+
+    def test_transformed_game_on_the_criterion_4_grid(self):
+        # criterion 4 reads transformed_matrix on this grid; the closed form
+        # (b - c)(1 + h), -c + h·b, b - h·c rounds differently at some points
+        benefits = np.arange(1.5, 20.0 + 0.25, 0.5)
+        lattice = np.arange(7) / 6
+        table = _pair_table(
+            [small_discrimination(dilemma=DilemmaParams(float(b), 1.0)) for b in benefits],
+            np.repeat(np.arange(len(benefits)), len(lattice)),
+            np.tile(lattice, len(benefits)),
+        )
+        for j, (b, h) in enumerate(itertools.product(benefits, lattice)):
+            expected = transformed_matrix(DilemmaParams(float(b), 1.0), h)
+            assert table[:, j].tobytes() == expected.tobytes()
 
 
 class TestGroupMembers:

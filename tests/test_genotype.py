@@ -12,6 +12,7 @@ from kincoop.genotype import (
     format_genotype,
     hamming_similarity,
     match_count,
+    match_matrix,
     mutate,
     parse_genotype,
     similarity_matrix,
@@ -148,6 +149,12 @@ class TestGenotypeSpace:
         with pytest.raises(ValueError):
             GenotypeSpace(3, 1)
 
+    def test_variants_capped_at_int64(self):
+        # every gene is below 2**63, so genotypes fit int64 arrays
+        assert GenotypeSpace(4, 2**63).variants == 2**63
+        with pytest.raises(ValueError, match=r"variants must be <= 2\*\*63"):
+            GenotypeSpace(4, 2**63 + 1)
+
 
 class TestMutate:
     def test_mu_zero_is_identity(self):
@@ -207,13 +214,53 @@ class TestMutate:
             MutationSpec(-0.1)
 
 
+def as_array(genotypes, loci):
+    return np.array(genotypes, dtype=np.int64).reshape(-1, loci)
+
+
+class TestMatchMatrix:
+    """The one vectorised match count equals ``match_count`` on every pair."""
+
+    def check(self, rows, cols, loci):
+        mat = match_matrix(as_array(rows, loci), as_array(cols, loci))
+        assert mat.dtype == np.int64
+        assert mat.shape == (len(rows), len(cols))
+        assert mat.tolist() == [[match_count(a, b) for b in cols] for a in rows]
+
+    def test_three_variants_all_pairs(self):
+        gs = enumerate_genotypes(GenotypeSpace(3, 3))
+        self.check(gs, gs, 3)
+
+    def test_rows_differ_from_cols(self):
+        gs = enumerate_genotypes(GenotypeSpace(4, 2))
+        self.check(gs[:5], gs[3:], 4)
+        self.check(gs[::3], gs[:2], 4)
+
+    @pytest.mark.parametrize("n_rows,n_cols", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_lists(self, n_rows, n_cols):
+        gs = enumerate_genotypes(GenotypeSpace(2, 2))
+        self.check(gs[:n_rows], gs[:n_cols], 2)
+
+    def test_forty_loci_four_variants(self):
+        rng = np.random.default_rng(7)
+        gs = [tuple(row) for row in rng.integers(0, 4, size=(30, 40)).tolist()]
+        gs += [gs[0], tuple((v + 1) % 4 for v in gs[1])]  # a copy and an all-differ
+        self.check(gs, gs[::-1], 40)
+
+    def test_genes_at_the_variant_cap(self):
+        # adjacent genes near 2**63 differ in int64, though not as float64
+        top = 2**63 - 1
+        gs = [(top, 0, top), (top - 1, top, 0), (0, top - 1, top - 1)]
+        self.check(gs, gs, 3)
+
+
 class TestSimilarityMatrix:
     def test_matches_pairwise_function(self):
         gs = enumerate_genotypes(GenotypeSpace(3, 2))
         mat = similarity_matrix(gs)
         for i, a in enumerate(gs):
             for j, b in enumerate(gs):
-                assert mat[i, j] == pytest.approx(hamming_similarity(a, b))
+                assert mat[i, j] == hamming_similarity(a, b)
 
     def test_symmetric_unit_diagonal(self):
         gs = enumerate_genotypes(GenotypeSpace(4, 2))

@@ -506,10 +506,42 @@ class TestRewardsBitExact:
             ]
 
     def test_large_space_stays_sparse(self):
-        # 4**40 genotypes: only the pairs that meet may be tabulated
+        # 4**40 genotypes: each step compares only the genotypes that meet in
+        # it, in one transient match matrix, never a table over the space
         cfg = SandboxConfig(
             space=GenotypeSpace(40, 4),
             initial_genotype=(0,) * 40,
+            mutation=MutationSpec(0.3),
+            initial_health=10.0,
+            food_rate=20,
+            steps=40,
+            policy=RandomPolicy(0.3),
+        )
+        trace = run_sandbox(cfg, np.random.default_rng(1))
+        assert len({geno for s in trace.states for _, geno in s.alive}) > 20
+        assert replication_identity_error(trace) < 1e-9
+        for t in range(1, len(trace.states)):
+            assert trace.rewards[t - 1] == oracle_step_rewards(trace.states[t - 1], trace.states[t])
+
+    def test_adjacent_genes_at_the_variant_cap(self):
+        # 2**63 - 1 and 2**63 - 2 differ, though as float64 both read 2**63
+        top = 2**63 - 1
+        prev = PopulationState(((0, (top, 0)), (1, (top - 1, 0)), (2, (top, top))))
+        curr = PopulationState(((0, (top, 0)), (1, (top - 1, 0)), (3, (top - 1, top))))
+        born, died = [(top - 1, top)], [(top, top)]
+        rewards = popreward._step_rewards(curr, born, died, 2)
+        assert rewards == oracle_event_rewards(curr, born, died)
+        assert rewards[0] == RewardTriple(1.5, -0.5, 1.5)
+        trace = popreward.PopulationTrace([prev, curr], [], [], [], [], [], [rewards])
+        assert replication_identity_error(trace) == 0.0
+        trace.rewards[0][3] = rewards[3]._replace(replication=rewards[3].replication + 0.5)
+        assert replication_identity_error(trace) == 0.5
+
+    def test_genes_at_the_variant_cap(self):
+        # genes up to 2**63 - 1 still fit the int64 match matrix
+        cfg = SandboxConfig(
+            space=GenotypeSpace(6, 2**63),
+            initial_genotype=(2**63 - 1,) * 6,
             mutation=MutationSpec(0.3),
             initial_health=10.0,
             food_rate=20,
