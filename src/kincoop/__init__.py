@@ -27,7 +27,6 @@ from .networks import (
     InfeasiblePartitionError,
     NetworkTopology,
     PartitionSpec,
-    build_complete_network,
     build_partition_network,
     build_partition_network_with_probs,
     degree_stats,

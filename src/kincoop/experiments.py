@@ -29,9 +29,9 @@ array is built unless a similarity override is given.
 
 Optionally each reward credits the opponent's payoff weighted by genetic
 similarity w: ``w * pm[other, own] + pm[own, other]``, written once, in
-``_pair_table``. A group tables it per action pair and (point, weight)
-column (per distinct similarity in discrimination, per directed edge in
-dispersal), so every reward path is an index computation and one ``np.take``.
+``games.kin_weighted_payoffs``. ``_pair_table`` tables it per action pair and
+(point, weight) column (per distinct similarity in discrimination, per
+directed edge in dispersal), so every reward path is one ``np.take``.
 Randomness is consumed in fixed-shape blocks every step, so two runs that
 differ only in reward wiring draw identical streams; that is what makes
 the zero-similarity override produce bit-identical results for the
@@ -74,13 +74,12 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .games import DilemmaParams, payoff_matrix
+from .games import DilemmaParams, kin_weighted_payoffs, payoff_matrix
 from .genotype import MAX_ENUMERABLE, Genotype, GenotypeSpace, enumerate_genotypes, similarity_matrix
 from .learning import LearnerConfig, epsilon_at, q_update, resolve_decay
 from .networks import (
     NetworkTopology,
     PartitionSpec,
-    build_complete_network,
     build_partition_network,
     degree_stats,
     derive_partition_probs,
@@ -89,9 +88,14 @@ from .pairsum import PairwiseRowSum, row_slots
 
 # Per (agent, opponent) cell a complete-network run keeps two float64 value
 # tables, one int64 window count and one step's work arrays, whatever the
-# window: 166 MB peak RSS at 1024 agents. The limit bounds time instead: 0.08 s
-# a step there on a 2-vCPU host, so a 3000-step run takes about 4 minutes.
+# window: 153 MiB peak RSS at 1024 agents. The limit bounds time instead: 0.06 s
+# a step there on a 2-vCPU host, so a 3000-step run takes about 3 minutes.
 MAX_DISCRIMINATION_AGENTS = 1024
+
+# A dense dispersal point sums its rewards over N * pairsum.row_slots(N), about
+# N * N / 16, float64 slots, and its network takes N * N uniforms: at 8192 nodes,
+# 113 MiB peak RSS, 0.5 s for the network and 7-14 ms a step on a 2-vCPU host.
+MAX_DISPERSAL_NODES = 8192
 
 KINDS = ("discrimination", "dispersal")
 
@@ -135,7 +139,14 @@ class ExperimentConfig:
                 f"exceeds the {MAX_ENUMERABLE} genotypes that can be enumerated"
             )
         if self.kind == "dispersal":
-            derive_partition_probs(self.partition)
+            spec = self.partition
+            if spec.node_count > MAX_DISPERSAL_NODES:
+                raise ValueError(
+                    f"partition.community_size: {spec.community_size} x {spec.community_count} "
+                    f"communities = {spec.node_count} nodes exceeds the "
+                    f"{MAX_DISPERSAL_NODES}-node limit"
+                )
+            derive_partition_probs(spec)
         elif self.space.size > MAX_DISCRIMINATION_AGENTS:
             raise ValueError(
                 f"genotype: complete network over {self.space.size} genotypes exceeds "
@@ -291,12 +302,12 @@ def _edge_similarity(
 def _run_result(
     config: ExperimentConfig,
     seed: int,
-    net: NetworkTopology,
+    degrees: tuple[float, int, int],
     sim: Optional[np.ndarray],
     state_mask: Optional[np.ndarray],
     learned: _Learned,
 ) -> RunResult:
-    mean_deg, min_deg, isolated = degree_stats(net)
+    mean_deg, min_deg, isolated = degrees
     return RunResult(
         kind=config.kind,
         seed=seed,
@@ -384,17 +395,18 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
 def _pair_table(
     configs: Sequence[ExperimentConfig], point: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """The kin-weighted pair reward per action pair and column:
-    ``table[2 * a_own + a_other, j]`` is ``w * pm[a_other, a_own] +
-    pm[a_own, a_other]`` for the payoff matrix ``pm`` of point ``point[j]``,
-    where ``w`` is ``weights[j]`` for an inclusive point and 0.0 for a
-    baseline one. ``pm + ±0.0 * x == pm`` because no payoff entry is -0.0, so
-    a baseline point's reward is its own payoff bit for bit."""
-    pms = np.stack([payoff_matrix(c.dilemma) for c in configs])  # [point, own, other]
-    # in place, so the build needs one table-sized temporary, not three
-    table = np.take(pms.swapaxes(1, 2).reshape(-1, 4).T, point, axis=1)
-    table *= np.where(np.array([c.inclusive for c in configs])[point], weights, 0.0)
-    table += np.take(pms.reshape(-1, 4).T, point, axis=1)
+    """The kin-weighted pair reward per action pair and column, built one run of
+    equal ``point`` at a time: ``table[2 * a_own + a_other, j]`` is
+    ``games.kin_weighted_payoffs`` at ``weights[j]`` for point ``point[j]``'s
+    payoffs ``pm``, or at 0.0 for a baseline point. ``pm + ±0.0 * x == pm`` as no
+    payoff entry is -0.0, so a baseline point's reward is its payoff bit for bit."""
+    bounds = [0, *(np.flatnonzero(np.diff(point)) + 1).tolist(), len(point)]
+    table = np.empty((4, len(point)))
+    for start, stop in zip(bounds, bounds[1:]):
+        config = configs[point[start]]
+        w = weights[start:stop] if config.inclusive else np.zeros(stop - start)
+        block = kin_weighted_payoffs(payoff_matrix(config.dilemma), w)  # [column, own, other]
+        table[:, start:stop] = block.reshape(-1, 4).T
     return table
 
 
@@ -416,7 +428,6 @@ def _run_discrimination_group(
     if n_agents > MAX_DISCRIMINATION_AGENTS:
         raise ValueError(f"too many agents ({n_agents}) for a complete-network run")
 
-    net = build_complete_network(genotypes)
     sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
@@ -442,8 +453,9 @@ def _run_discrimination_group(
 
     active = np.broadcast_to(state_mask, (n_points, n_agents, n_agents))
     learned = _learn(config, active, reward_fn, np.random.default_rng(seed))
+    degrees = (float(n_agents - 1), n_agents - 1, int(n_agents == 1))  # a lone agent is isolated
     return [
-        _run_result(point_config, seed, net, sim, state_mask, point_learned)
+        _run_result(point_config, seed, degrees, sim, state_mask, point_learned)
         for point_config, point_learned in zip(configs, learned)
     ]
 
@@ -535,8 +547,8 @@ def _run_dispersal_group(
 
     learned = _learn(configs[0], has_neighbors, reward_fn, rng)
     return [
-        _run_result(point_config, seed, nets[point_config.partition], None, None, point_learned)
-        for point_config, point_learned in zip(configs, learned)
+        _run_result(c, seed, degree_stats(nets[c.partition]), None, None, point_learned)
+        for c, point_learned in zip(configs, learned)
     ]
 
 
@@ -557,27 +569,21 @@ def run_experiment(
 ) -> RunResult:
     """One parameter point at one seed.
 
-    ``group``, if given, lists configs that share ``_group_key``, ``config``
-    among them. The first call for a (group, seed) learns every point of the
-    group at once; the calls for the other points return their results from
-    a hand-off that empties once each point has been handed out. The result
-    equals a run of ``config`` alone.
+    ``group`` lists configs that share ``_group_key``, ``config`` among
+    them; by default it is ``config`` alone. The first call for a (group,
+    seed) learns every point of the group at once; the calls for the other
+    points return their results from a hand-off that empties once each
+    point has been handed out. The result equals a run of ``config`` alone.
     """
     global _handoff
-    if len(group) < 2:
-        if group and group[0] != config:
-            raise ValueError("config is not a member of its group")
-        (result,) = _run_points((config,), seed)
-        return result
-    key = (tuple(group), seed)
-    if _handoff is None or _handoff[0] != key or config not in _handoff[1]:
+    group = tuple(group) or (config,)
+    if _handoff is None or _handoff[0] != (group, seed) or config not in _handoff[1]:
         if config not in group:
             raise ValueError("config is not a member of its group")
-        _handoff = (key, list(group), _run_points(group, seed))
-    configs, results = _handoff[1], _handoff[2]
-    index = configs.index(config)
-    del configs[index]
-    result = results.pop(index)
+        _handoff = ((group, seed), list(group), _run_points(group, seed))
+    configs, results = _handoff[1:]
+    result = results.pop(configs.index(config))
+    configs.remove(config)
     if not configs:
         _handoff = None
     return result

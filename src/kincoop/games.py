@@ -30,17 +30,24 @@ def payoff_matrix(params: DilemmaParams) -> np.ndarray:
     return np.array([[b - c, -c], [b, 0.0]])
 
 
+def kin_weighted_payoffs(pm: np.ndarray, weights) -> np.ndarray:
+    """``w * pm[other, own] + pm[own, other]`` for each weight ``w`` (unchecked),
+    indexed [*weights.shape, own, other]: a row player's payoffs when it credits
+    its partner's payoff at ``w``. Every kin-weighted reward is built here."""
+    table = np.multiply.outer(weights, pm.T, order="C")  # C order: reshapes are views
+    table += pm
+    return table
+
+
 def transformed_matrix(params: DilemmaParams, h: float) -> np.ndarray:
     """Row player's relatedness-weighted payoffs, indexed [own, other]:
-    ``h * pm[other, own] + pm[own, other]`` for ``pm = payoff_matrix(params)``,
-    the expression, and so the bits, of ``experiments._pair_table``. At h=0
+    ``kin_weighted_payoffs`` at ``h`` for ``payoff_matrix(params)``. At h=0
     this is the original dilemma; for large enough h mutual cooperation
     becomes the unique equilibrium (a harmony game).
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"relatedness must be in [0, 1], got {h}")
-    pm = payoff_matrix(params)
-    return h * pm.T + pm
+    return kin_weighted_payoffs(payoff_matrix(params), h)
 
 
 def cooperation_favored(params: DilemmaParams, h: float) -> bool:

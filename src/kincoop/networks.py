@@ -1,4 +1,4 @@
-"""Interaction topologies: complete networks and random partition networks."""
+"""Interaction topologies: random partition networks."""
 
 from __future__ import annotations
 
@@ -116,19 +116,6 @@ def degree_stats(net: NetworkTopology) -> tuple[float, int, int]:
     """(mean degree, min degree, number of isolated nodes)."""
     deg = np.bincount(net.edges.ravel(), minlength=net.node_count)
     return float(deg.mean()), int(deg.min()), int((deg == 0).sum())
-
-
-def build_complete_network(genotypes: list[Genotype]) -> NetworkTopology:
-    """One node per genotype, every pair connected, singleton communities."""
-    if not genotypes:
-        raise ValueError("need at least one genotype")
-    n = len(genotypes)
-    return NetworkTopology(
-        node_count=n,
-        edges=np.stack(np.triu_indices(n, k=1), axis=1),
-        genotypes=tuple(genotypes),
-        communities=tuple(range(n)),
-    )
 
 
 # Uniforms drawn per block of rows when sampling a network, so that no

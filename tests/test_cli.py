@@ -728,6 +728,12 @@ VALIDATE_TABLE = [
      "Error: partition.community_size: expected an integer, got 'x'"),
     ('dispersal.yaml', 'partition.community_size=1', 2,
      'Error: partition.community_size: community_size must be >= 2'),
+    ('dispersal.yaml', 'partition.community_size=1024', 0,
+     'OK: valid dispersal configuration (hash 710a94b46b2f)'),
+    ('dispersal.yaml', 'partition.community_size=1025', 2,
+     'Error: partition.community_size: 1025 x 8 communities = 8200 nodes exceeds the 8192-node limit'),
+    ('dispersal.yaml', 'partition.community_size=100000', 2,
+     'Error: partition.community_size: 100000 x 8 communities = 800000 nodes exceeds the 8192-node limit'),
     ('dispersal.yaml', 'partition.k_avg=x', 2,
      "Error: partition.k_avg: expected a number, got 'x'"),
     ('dispersal.yaml', 'partition.k_avg=0', 2,

@@ -28,8 +28,10 @@ from kincoop.genotype import GenotypeSpace, enumerate_genotypes
 from kincoop.learning import LearnerConfig, epsilon_at, q_update, resolve_decay
 from kincoop.networks import (
     InfeasiblePartitionError,
+    NetworkTopology,
     PartitionSpec,
     build_partition_network_with_probs,
+    degree_stats,
 )
 from kincoop.pairsum import row_slots
 
@@ -337,6 +339,19 @@ class TestDiscriminationRunner:
         assert res.mean_degree == 7.0
         assert res.isolated_count == 0
 
+    @pytest.mark.parametrize("self_play", [True, False], ids=["self-play", "no-self-play"])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_degrees_are_the_complete_networks(self, n, self_play):
+        # the runner builds no network; its degrees are those of the complete one
+        genotypes = enumerate_genotypes(GenotypeSpace(3, 2))[:n]
+        edges = np.stack(np.triu_indices(n, k=1), axis=1)
+        complete = NetworkTopology(n, edges, tuple(genotypes), tuple(range(n)))
+        cfg = small_discrimination(self_play=self_play, steps_max=60, window=20)
+        res = run_discrimination(cfg, 1, genotypes=genotypes)
+        degrees = (res.mean_degree, res.min_degree, res.isolated_count)
+        assert degrees == degree_stats(complete) == {1: (0.0, 0, 1), 8: (7.0, 7, 0)}[n]
+        assert [type(x) for x in degrees] == [float, int, int]
+
     def test_converged_at_bounded_or_flagged(self):
         cfg = small_discrimination()
         res = run_discrimination(cfg, 2)
@@ -585,6 +600,40 @@ class TestPairTable:
             assert table[:, j].tobytes() == expected.tobytes()
 
 
+class TestPairTableBuild:
+    """``_pair_table`` builds each run of equal ``point`` through
+    ``games.kin_weighted_payoffs``, with nothing table-sized beside the table."""
+
+    def test_runs_and_the_trailing_pad_column(self):
+        # dispersal's pad column, after the last point, belongs to point 0
+        configs = [
+            small_dispersal(dilemma=DilemmaParams(b, 1.0), inclusive=inclusive)
+            for b, inclusive in [(2.0, True), (5.0, False), (9.0, True)]
+        ]
+        point = np.array([0, 0, 1, 1, 1, 2, 0])
+        weights = np.array([0.25, -1.0, 0.5, 0.75, 1.0, -0.5, 0.0])
+        table = _pair_table(configs, point, weights)
+        assert table.shape == (4, len(point))
+        for j, (p, w) in enumerate(zip(point, weights)):
+            pm = payoff_matrix(configs[p].dilemma)
+            expected = (w if configs[p].inclusive else 0.0) * pm.T + pm
+            assert table[:, j].tobytes() == expected.tobytes(), j
+
+    def test_peak_below_one_and_a_half_tables(self):
+        # 36 points of 8000 edges and the pad column, as one dispersal group lays them
+        configs = both_modes(small_dispersal, benefits=np.arange(2.0, 20.0))
+        point = np.append(np.repeat(np.arange(len(configs)), 8000), 0)
+        weights = np.append(np.random.default_rng(0).uniform(-1, 1, len(point) - 1), 0.0)
+        tracemalloc.start()
+        try:
+            table = _pair_table(configs, point, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(configs) == 36 and table.shape == (4, 36 * 8000 + 1)
+        assert peak < 1.5 * table.nbytes
+
+
 class TestGroupMembers:
     """A strict subset of a group learns bit-identically; configs that
     change the state mask, the node layout, the stream or the budget never
@@ -595,6 +644,17 @@ class TestGroupMembers:
         group = both_modes(SMALL[kind], steps_max=300)
         run_single = run_discrimination if kind == "discrimination" else run_dispersal
         assert_group_equals_single((group[1], group[2], group[5]), 4, run_single)
+
+    @pytest.mark.parametrize("kind", ["discrimination", "dispersal"])
+    def test_one_config_group_equals_single(self, kind):
+        cfg = SMALL[kind](steps_max=300)
+        run_single = run_discrimination if kind == "discrimination" else run_dispersal
+        want = run_single(cfg, 2)
+        assert_same_result(run_experiment(cfg, 2, (cfg,)), want)
+        assert_same_result(run_experiment(cfg, 2), want)
+        assert experiments._handoff is None
+        with pytest.raises(ValueError, match="not a member"):
+            run_experiment(cfg, 2, (dataclasses.replace(cfg, inclusive=False),))
 
     @pytest.mark.parametrize(
         "kind,change",

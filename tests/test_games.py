@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kincoop.games import DilemmaParams, cooperation_favored, payoff_matrix, transformed_matrix
+from kincoop.games import (
+    DilemmaParams,
+    cooperation_favored,
+    kin_weighted_payoffs,
+    payoff_matrix,
+    transformed_matrix,
+)
 
 C, D = 0, 1
 
@@ -42,6 +48,44 @@ class TestPayoffMatrix:
         assert m[D, C] > m[C, C] > m[D, D] > m[C, D]
 
 
+class TestKinWeightedPayoffs:
+    """The one kin-weighted payoff builder is ``w * pm.T + pm``, bit for bit,
+    for any real weight: it checks none."""
+
+    PMS = [payoff_matrix(DilemmaParams(b, c)) for b, c in [(3.0, 1.0), (3.7, 0.3), (12.0, 5.0)]]
+    WEIGHTS = [0.0, -0.0, 1 / 3, -1 / 3, 0.75, 1.0, -1.0, 0.1, -0.7, 2.5]
+
+    @pytest.mark.parametrize("w", WEIGHTS)
+    def test_scalar_weight(self, w):
+        for pm in self.PMS:
+            got = kin_weighted_payoffs(pm, w)
+            assert got.shape == (2, 2)
+            assert got.tobytes() == (w * pm.T + pm).tobytes()
+
+    def test_array_weights_lead(self):
+        weights = np.array(self.WEIGHTS)
+        for pm in self.PMS:
+            got = kin_weighted_payoffs(pm, weights)
+            assert got.shape == (len(weights), 2, 2)
+            for k, w in enumerate(weights):
+                assert got[k].tobytes() == (w * pm.T + pm).tobytes()
+            # a 2-d weight array keeps both leading axes
+            assert kin_weighted_payoffs(pm, weights.reshape(2, -1)).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("w", [0.0, -0.0])
+    def test_zero_weight_is_the_payoff(self, w):
+        # a zero weight times the negative sucker's payoff is a signed zero,
+        # and adding it leaves every payoff's bits as they were
+        for pm in self.PMS:
+            assert kin_weighted_payoffs(pm, w).tobytes() == pm.tobytes()
+            assert kin_weighted_payoffs(pm, np.full(3, w)).tobytes() == np.tile(pm, (3, 1, 1)).tobytes()
+
+    @given(st.floats(-10.0, 10.0), st.floats(0.01, 50.0), st.floats(1.01, 10.0))
+    def test_any_weight(self, w, c, ratio):
+        pm = payoff_matrix(DilemmaParams(benefit=c * ratio, cost=c))
+        assert kin_weighted_payoffs(pm, w).tobytes() == (w * pm.T + pm).tobytes()
+
+
 class TestTransformedMatrix:
     def test_worked_example(self):
         m = transformed_matrix(DilemmaParams(3.0, 1.0), 0.75)
@@ -54,6 +98,11 @@ class TestTransformedMatrix:
     def test_zero_relatedness_recovers_original(self):
         p = DilemmaParams(4.0, 1.5)
         assert np.allclose(transformed_matrix(p, 0.0), payoff_matrix(p))
+
+    @pytest.mark.parametrize("h", [-0.5, 1.5])
+    def test_relatedness_outside_unit_interval_rejected(self, h):
+        with pytest.raises(ValueError):
+            transformed_matrix(DilemmaParams(3.0, 1.0), h)
 
     def test_low_relatedness_not_dominant(self):
         m = transformed_matrix(DilemmaParams(3.0, 1.0), 0.2)

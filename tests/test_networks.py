@@ -9,7 +9,6 @@ from kincoop.networks import (
     InfeasiblePartitionError,
     NetworkTopology,
     PartitionSpec,
-    build_complete_network,
     build_partition_network,
     build_partition_network_with_probs,
     degree_stats,
@@ -64,26 +63,6 @@ class TestDerivePartitionProbs:
             PartitionSpec(8, 8, 9.0, 1.2)
         with pytest.raises(ValueError):
             PartitionSpec(8, 8, -1.0, 0.5)
-
-
-class TestCompleteNetwork:
-    def test_sixty_four_agents(self):
-        net = build_complete_network(enumerate_genotypes(GenotypeSpace(6, 2)))
-        assert net.node_count == 64
-        assert len(net.edges) == 64 * 63 // 2 == 2016
-        assert degree_stats(net) == (63.0, 63, 0)
-
-    def test_single_node(self):
-        net = build_complete_network(EIGHT_GENOTYPES[:1])
-        assert net.node_count == 1 and len(net.edges) == 0
-
-    def test_two_nodes_one_edge(self):
-        net = build_complete_network(EIGHT_GENOTYPES[:2])
-        assert np.array_equal(net.edges, [(0, 1)])
-
-    def test_singleton_communities(self):
-        net = build_complete_network(EIGHT_GENOTYPES)
-        assert net.communities == tuple(range(8))
 
 
 class TestDegreeStats:
