@@ -63,15 +63,6 @@ def _resolve_out_dir(config_value: Optional[str], flag_value: Optional[Path]) ->
     return out
 
 
-def _parse_seed_list(text: Optional[str]) -> Optional[list[int]]:
-    if text is None:
-        return None
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--seeds must be a comma-separated integer list, got {text!r}") from exc
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on, which a CPU mask may make fewer than
     the machine's."""
@@ -120,28 +111,9 @@ _out_dir_option = click.option(
     "--out-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
     help=f"Output directory (default: config, then ${OUT_DIR_ENV}, then '.')",
 )
-# the sweep commands' options; sandbox and validate take some of them
-_shared_options = [
-    _set_option,
-    click.option("--seeds", default=None, help="Comma-separated seed list, e.g. 1,2,3"),
-    click.option(
-        "--inclusive",
-        type=click.BOOL,
-        default=None,
-        help="Run with (true) or without (false) relatedness-weighted rewards",
-    ),
-    _out_dir_option,
-    click.option(
-        "--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"
-    ),
-    click.option("--plot/--no-plot", "plot", default=None, help="Emit SVG charts"),
-]
-
-
-def _with_shared_options(fn):
-    for option in reversed(_shared_options):
-        fn = option(fn)
-    return fn
+_jobs_option = click.option(
+    "--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"
+)
 
 
 @click.group()
@@ -150,13 +122,14 @@ def main():
     """Cooperation experiments for kin-related independent learners."""
 
 
-def _load(config_file: Path, experiment: str, overrides, **flags) -> dict:
-    """Load a config file of ``experiment``, set the flags given, and resolve it."""
+def _load(config_file: Path, experiment: str, overrides, jobs: Optional[int] = None) -> dict:
+    """Load a config file of ``experiment``, set ``jobs`` if given, and resolve it."""
     data = load_config_file(config_file)
     data.setdefault("experiment", experiment)
     if data["experiment"] != experiment:
         raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
-    data.update((key, value) for key, value in flags.items() if value is not None)
+    if jobs is not None:
+        data["jobs"] = jobs
     return resolve_config(data, overrides)
 
 
@@ -206,16 +179,14 @@ def _write_sweep(
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_with_shared_options
+@_set_option
+@_out_dir_option
+@_jobs_option
 @_friendly_errors
-def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
+def discrimination(config_file, overrides, out_dir, jobs):
     """Opponent-discrimination experiment on a complete network."""
     started = _timestamp()
-    resolved = _load(
-        config_file, "discrimination", overrides,
-        seeds=_parse_seed_list(seeds), inclusive=inclusive, jobs=jobs, plot=plot,
-    )
-    plan = build_discrimination_plan(resolved)
+    plan = build_discrimination_plan(_load(config_file, "discrimination", overrides, jobs))
     out = _resolve_out_dir(plan.out_dir, out_dir)
     rows, run_meta = _sweep(plan, lambda payload: payload["bins"], ("c_over_b",))
     _write_sweep(
@@ -240,17 +211,14 @@ def discrimination(config_file, overrides, seeds, inclusive, out_dir, jobs, plot
 
 @main.command()
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_with_shared_options
+@_set_option
+@_out_dir_option
+@_jobs_option
 @_friendly_errors
-def dispersal(config_file, overrides, seeds, inclusive, out_dir, jobs, plot):
+def dispersal(config_file, overrides, out_dir, jobs):
     """Limited-dispersal experiment on random partition networks."""
     started = _timestamp()
-    resolved = _load(
-        config_file, "dispersal", overrides,
-        seeds=_parse_seed_list(seeds), jobs=jobs, plot=plot,
-        modes=None if inclusive is None else ["inclusive" if inclusive else "baseline"],
-    )
-    plan = build_dispersal_plan(resolved)
+    plan = build_dispersal_plan(_load(config_file, "dispersal", overrides, jobs))
     out = _resolve_out_dir(plan.out_dir, out_dir)
     rows, run_meta = _sweep(
         plan, lambda payload: {"p": payload["proportion"]}, ("eta", "b_over_c", "inclusive")

@@ -146,6 +146,12 @@ class ExperimentConfig:
                     f"communities = {spec.node_count} nodes exceeds the "
                     f"{MAX_DISPERSAL_NODES}-node limit"
                 )
+            # no eta helps here: even p_in = p_out = 1 gives a mean degree of N - 1
+            if spec.k_avg > spec.node_count - 1:
+                raise ValueError(
+                    f"partition.k_avg: k_avg={spec.k_avg} exceeds N - 1 = {spec.node_count - 1}, "
+                    f"the mean degree of a complete network on {spec.node_count} nodes"
+                )
             derive_partition_probs(spec)
         elif self.space.size > MAX_DISCRIMINATION_AGENTS:
             raise ValueError(
@@ -220,7 +226,6 @@ def _learn(
     q_c = np.full(active.shape, learner.q_init, dtype=float)  # value of cooperating
     q_d = q_c.copy()  # value of defecting
     gap = q_c - q_d
-    all_active = bool(active.all())
 
     greedy = np.empty(active.shape, dtype=bool)  # True = defect
     # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
@@ -245,13 +250,9 @@ def _learn(
         reward = reward_fn(defect)
 
         q_new = q_update(np.where(defect, q_d, q_c), reward, learner.alpha)
-        if all_active:
-            q_d = np.where(defect, q_new, q_d)
-            q_c = np.where(defect, q_c, q_new)
-        else:
-            update_d = active & defect
-            q_d = np.where(update_d, q_new, q_d)
-            q_c = np.where(active ^ update_d, q_new, q_c)
+        update_d = active & defect
+        q_d = np.where(update_d, q_new, q_d)
+        q_c = np.where(active ^ update_d, q_new, q_c)
 
         np.subtract(q_c, q_d, out=gap)
         if t < watch_from:

@@ -1,7 +1,9 @@
 import json
 import platform
+import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 import yaml
@@ -73,6 +75,36 @@ class TestValidate:
         assert "line" in result.output
 
 
+class TestCommandOptions:
+    # each experiment setting reaches a run through the config file or -s alone
+    @pytest.mark.parametrize("command", ["discrimination", "dispersal"])
+    @pytest.mark.parametrize("flag", ["--seeds=1", "--inclusive=false", "--plot", "--no-plot"])
+    def test_removed_setting_flag_exits_two(self, runner, tmp_path, command, flag):
+        write_cfg(tmp_path / "c.yaml", DISC_CFG if command == "discrimination" else DISP_CFG)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, [command, str(tmp_path / "c.yaml"), "--out-dir", str(out), flag]
+        )
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output
+        assert not out.exists()
+
+    def test_readme_names_only_existing_options(self):
+        options = set()
+        for command in (main, *main.commands.values()):
+            for param in command.get_params(click.Context(command)):
+                options.update(param.opts, param.secondary_opts)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        named = {
+            token
+            for line in readme.splitlines()
+            if not line.lstrip().startswith("pip ")  # pip's own options
+            for token in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)
+        }
+        assert {"--out-dir", "--jobs"} <= named
+        assert named - options == set()
+
+
 class TestMissingConfig:
     def test_exit_two_names_path(self, runner):
         result = runner.invoke(main, ["discrimination", "no-such-file.yaml"])
@@ -105,14 +137,14 @@ class TestDiscriminationCommand:
         for jobs in ("1", "2"):
             result = runner.invoke(main, [
                 "discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / jobs),
-                "--seeds=1,2,3", "--jobs", jobs, "--inclusive", inclusive,
+                "-s", "seeds=[1,2,3]", "--jobs", jobs, "-s", f"inclusive={inclusive}",
             ])
             assert result.exit_code == 0, result.output
         for name in ("discrimination.csv", "discrimination.svg", "discrimination_runs.json"):
             one, two = (tmp_path / jobs / name for jobs in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), name
 
-    def test_seeds_flag_sets_n_seeds(self, runner, tmp_path):
+    def test_seeds_override_sets_n_seeds(self, runner, tmp_path):
         write_cfg(tmp_path / "c.yaml", DISC_CFG)
         result = runner.invoke(
             main,
@@ -121,7 +153,8 @@ class TestDiscriminationCommand:
                 str(tmp_path / "c.yaml"),
                 "--out-dir",
                 str(tmp_path / "o"),
-                "--seeds=1,2,3",
+                "-s",
+                "seeds=[1,2,3]",
             ],
         )
         assert result.exit_code == 0
@@ -137,7 +170,8 @@ class TestDiscriminationCommand:
                 str(tmp_path / "c.yaml"),
                 "--out-dir",
                 str(tmp_path / "o"),
-                "--inclusive=false",
+                "-s",
+                "inclusive=false",
             ],
         )
         assert result.exit_code == 0
@@ -231,7 +265,8 @@ class TestDefaultSweepShapes:
                 str(tmp_path / "c.yaml"),
                 "--out-dir",
                 str(tmp_path / "o"),
-                "--seeds=1",
+                "-s",
+                "seeds=[1]",
                 "-s",
                 "steps_max=300",
                 "-s",
@@ -254,7 +289,8 @@ class TestDefaultSweepShapes:
                 str(tmp_path / "c.yaml"),
                 "--out-dir",
                 str(tmp_path / "o"),
-                "--seeds=1",
+                "-s",
+                "seeds=[1]",
                 "-s",
                 "steps_max=300",
                 "-s",
@@ -306,7 +342,8 @@ class TestDispersalCommand:
                 str(tmp_path / "c.yaml"),
                 "--out-dir",
                 str(tmp_path / "o"),
-                "--inclusive=false",
+                "-s",
+                "modes=[baseline]",
             ],
         )
         assert result.exit_code == 0
@@ -400,8 +437,8 @@ class TestSandboxCommand:
         assert result.exit_code == 0, result.output
         assert "Override a config key by dotted path" in result.output
         assert "Output directory" in result.output
-        # the sweep flags belong to discrimination and dispersal only
-        assert "--seeds" not in result.output and "--jobs" not in result.output
+        # the worker count belongs to discrimination and dispersal only
+        assert "--jobs" not in result.output
 
     def test_q_policy_config(self, runner, tmp_path):
         cfg = dict(SAND_CFG)
@@ -508,7 +545,7 @@ class TestRejectedSweeps:
         "cfg,args,key",
         [
             # ran seed 1 once but reported n_seeds = 2 with a zero standard error
-            (DISC_CFG, ["--seeds", "1,1"], "seeds"),
+            (DISC_CFG, ["-s", "seeds=[1,1]"], "seeds"),
             # wrote every (c_over_b, h) row twice
             (DISC_CFG, ["-s", "dilemma.benefits=[4,4.0]"], "dilemma.benefits"),
             # two benefits, one c/b ratio: the ratio keys the sweep's results
@@ -544,7 +581,7 @@ class TestRejectedRunValues:
             # numpy: "expected non-negative integer"
             (SAND_CFG, ["-s", "seed=-1"], "seed: expected a non-negative integer, got -1"),
             (DISP_CFG, ["-s", "seeds=[-1]"], "seeds[0]: expected a non-negative integer, got -1"),
-            (DISC_CFG, ["--seeds", "2,-1"], "seeds[1]: expected a non-negative integer, got -1"),
+            (DISC_CFG, ["-s", "seeds=[2,-1]"], "seeds[1]: expected a non-negative integer, got -1"),
             # TypeError from Path(3)
             (SAND_CFG, ["-s", "out_dir=3"], "out_dir: expected a directory path, got 3"),
             (DISP_CFG, ["-s", "out_dir=[a]"], "out_dir: expected a directory path, got ['a']"),
@@ -553,7 +590,7 @@ class TestRejectedRunValues:
              "experiment: an override cannot change the experiment from 'discrimination' "
              "to 'dispersal'"),
         ],
-        ids=["sandbox-seed", "dispersal-seeds", "seeds-flag", "sandbox-out-dir",
+        ids=["sandbox-seed", "dispersal-seeds", "discrimination-seeds", "sandbox-out-dir",
              "dispersal-out-dir", "experiment"],
     )
     def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, message):
@@ -738,6 +775,12 @@ VALIDATE_TABLE = [
      "Error: partition.k_avg: expected a number, got 'x'"),
     ('dispersal.yaml', 'partition.k_avg=0', 2,
      'Error: partition.k_avg: k_avg must be > 0'),
+    # was blamed on partition.etas, with a "minimal feasible eta" of 1.66071
+    ('dispersal.yaml', 'partition.k_avg=100', 2,
+     'Error: partition.k_avg: k_avg=100.0 exceeds N - 1 = 63, '
+     'the mean degree of a complete network on 64 nodes'),
+    ('dispersal.yaml', 'partition.k_avg=63 partition.etas=[1]', 0,
+     'OK: valid dispersal configuration (hash d614e6f7ed18)'),
     ('dispersal.yaml', 'partition.etas=x', 2,
      'Error: partition.etas: expected a non-empty list of numbers'),
     ('dispersal.yaml', 'partition.etas=[0]', 2,

@@ -51,11 +51,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DISCRIMINATION_SMALL = [
     "discrimination", str(CONFIGS / "discrimination.yaml"),
-    "--seeds", "1", "-s", "steps_max=400", "-s", "window=100", "--jobs", "1", "--no-plot",
+    "-s", "seeds=[1]", "-s", "steps_max=400", "-s", "window=100", "--jobs", "1", "-s", "plot=false",
 ]
 DISPERSAL_SMALL = [
     "dispersal", str(CONFIGS / "dispersal.yaml"),
-    "--seeds", "1", "-s", "steps_max=300", "-s", "window=100", "--jobs", "1", "--no-plot",
+    "-s", "seeds=[1]", "-s", "steps_max=300", "-s", "window=100", "--jobs", "1", "-s", "plot=false",
 ]
 # epsilon reaches a floor of 1e-6 near step 131, so runs stop a window after
 # their greedy policy last changed; the floor is written as a decimal because
@@ -67,7 +67,7 @@ FLOOR_FROM_START = ["-s", "learner.epsilon0=0.001"]
 NO_EXPLORATION = ["-s", "learner.epsilon0=0.0", "-s", "learner.epsilon_min=0.0"]
 # two seeds over two workers: the points of one (eta, mode, seed) share a
 # network and a random stream, and with EARLY_STOP they stop at different steps
-TWO_SEEDS_JOBS2 = ["--seeds", "1,2", "--jobs", "2"]
+TWO_SEEDS_JOBS2 = ["-s", "seeds=[1,2]", "--jobs", "2"]
 # 9 communities of 15 agents (2 loci, 3 variants): N = 135 is not a multiple
 # of 8, so numpy's pairwise row sum splits it into leaves of 64 and 71, the
 # second with a 7-term tail
@@ -109,7 +109,7 @@ CASES = {
         "discrimination.csv": "83b49a009d1f0f5d8ff74c5b07ecd85517183e92cc5989d1518f57b3b5cdb4a2",
     }),
     "discrimination-baseline-no-self-play": ([
-        *DISCRIMINATION_SMALL, "-s", "self_play=false", "--inclusive=false",
+        *DISCRIMINATION_SMALL, "-s", "self_play=false", "-s", "inclusive=false",
     ], {
         "discrimination.csv": "fdf094e91f3c1d6e06d5b6d83324e9ee7b845d1d371a8b159cc2a1430baa4407",
     }),
@@ -231,34 +231,39 @@ def test_sandbox_rewards_do_not_use_builtin_float_sum(monkeypatch, tmp_path):
 # Every output of a sweep but its manifest: the CSV, the *_runs.json sidecar
 # and the SVG chart, recorded before the two sweep commands were merged into
 # one path. The variants cover sweep lists given out of order, both mode
-# orders, the --inclusive flag on each command, and two seeds on two workers.
+# orders, individual rewards on each command, and two seeds on two workers.
 OUTPUT_CASES = {
     "discrimination-unsorted-plot": ([
-        *DISCRIMINATION_SMALL, "--plot", "--seeds", "1,2", "-s", "dilemma.benefits=[2.5,10,4]",
+        *DISCRIMINATION_SMALL, "-s", "plot=true", "-s", "seeds=[1,2]",
+        "-s", "dilemma.benefits=[2.5,10,4]",
     ], {
         "discrimination.csv": "98661252c753d754486693fd0d86e4503e6ef85bb8dda1329ee2df4bc36acda9",
         "discrimination.svg": "02ce03a5da1489af041c21807468defd7ec1fd7534d634b119dd63d2b7ccb97e",
         "discrimination_runs.json": "43c07aa9c8750d519f3c3bd02393a1d66b15f9ad6f2b82d2353edc1d1d0b4ed2",
     }),
-    "discrimination-inclusive-false-plot": ([*DISCRIMINATION_SMALL, "--plot", "--inclusive=false"], {
+    "discrimination-inclusive-false-plot": ([
+        *DISCRIMINATION_SMALL, "-s", "plot=true", "-s", "inclusive=false",
+    ], {
         "discrimination.csv": "e71e35e296e91bf123ee6bd8500ee381ad087152ec748a183da6a4144cd67a25",
         "discrimination.svg": "2cb7e817a8540035d651ff8377e489f06e4a11fb676c1c6ede7449d32bab2c54",
         "discrimination_runs.json": "6a2f4e3758b827aca8d2b07a6ca8e8d34a7e0af327234b8a6f196c2f92f2441f",
     }),
     "dispersal-unsorted-plot": ([
-        *DISPERSAL_SMALL, "--plot", "-s", "dilemma.b_over_c=[8,2,12]",
+        *DISPERSAL_SMALL, "-s", "plot=true", "-s", "dilemma.b_over_c=[8,2,12]",
         "-s", "partition.etas=[0.5,0.1]", "-s", "modes=[baseline,inclusive]",
     ], {
         "dispersal.csv": "40846d633fb0f8550beec0e938ef688681c9ef475fb5cd245cfec5d4df5a11aa",
         "dispersal.svg": "fe842f27dac3926885a8ecf231dc12d585c1856b7fc4e3603a3c07796e4cd60a",
         "dispersal_runs.json": "ca3f164d6ab7e8b226b2f465fdd1f60d3c508d26cbda679536b2a1b9f1e2b3cf",
     }),
-    "dispersal-inclusive-false-plot": ([*DISPERSAL_SMALL, "--plot", "--inclusive=false"], {
+    "dispersal-inclusive-false-plot": ([
+        *DISPERSAL_SMALL, "-s", "plot=true", "-s", "modes=[baseline]",
+    ], {
         "dispersal.csv": "51ba4f24af6683dfb5bf3af50ae48e81be063c44cfa384d3b9ef79cadbb3bc34",
         "dispersal.svg": "498d21ee1d425cae93a99f7db9c89778eb1f340e926d0ceb0cc6bc7398c83822",
         "dispersal_runs.json": "22c1e0262b6e5a6624bcdd6b6248715853d737deff9e6faeb6d8c0f4863eba9c",
     }),
-    "dispersal-two-seeds-jobs2-plot": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2, "--plot"], {
+    "dispersal-two-seeds-jobs2-plot": ([*DISPERSAL_SMALL, *TWO_SEEDS_JOBS2, "-s", "plot=true"], {
         "dispersal.csv": "c998b912bf825548e4b9e9a7f4809db55724335baaacf6c5c05643e400eace7c",
         "dispersal.svg": "2a670a264c0f81a674db2d855ff04e4eec4ecf0ff57eced777fb82c382c1b909",
         "dispersal_runs.json": "8ae988077e9642b32084aa81b0cac2305fe5f9392c886ee9d84337ba7f499660",
