@@ -76,7 +76,9 @@ class TestValidate:
 
 
 class TestCommandOptions:
-    # each experiment setting reaches a run through the config file or -s alone
+    """Each experiment setting reaches a run through the config file or -s
+    alone, and README names no option that a command lacks."""
+
     @pytest.mark.parametrize("command", ["discrimination", "dispersal"])
     @pytest.mark.parametrize("flag", ["--seeds=1", "--inclusive=false", "--plot", "--no-plot"])
     def test_removed_setting_flag_exits_two(self, runner, tmp_path, command, flag):
