@@ -20,10 +20,11 @@ The dispersal rewards touch the edges alone. All points' directed edges, in
 one list, have their four action pairs' rewards tabled once per group, with
 the similarity looked up per community pair. The mean over neighbors is the
 row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
-the edges, would give under numpy's ``sum(axis=-1)``, reproduced term for
-term in numpy's pairwise order by ``pairsum.PairwiseRowSum`` over one row
-per (point, agent), so it matches that dense mean bit for bit. Each step
-costs O(P·E) lookups and writes for P points of E edges, plus a fixed
+the edges, would give under numpy's ``sum(axis=-1)``. ``pairsum`` gets it
+over one row per (point, agent): one ``np.bincount`` adds the edges' terms,
+in (agent, neighbor) order, into numpy's accumulator slots, and numpy's
+fixed combine adds the slots, so it matches that dense mean bit for bit.
+Each step costs O(P·E) lookups and adds for P points of E edges, plus the
 combine over about N·N/16 slots per point (8·N below 128 nodes); no N x N
 array is built unless a similarity override is given.
 
@@ -94,7 +95,7 @@ MAX_DISCRIMINATION_AGENTS = 1024
 
 # A dense dispersal point sums its rewards over N * pairsum.row_slots(N), about
 # N * N / 16, float64 slots, and its network takes N * N uniforms: at 8192 nodes,
-# 113 MiB peak RSS, 0.5 s for the network and 7-14 ms a step on a 2-vCPU host.
+# 83 MiB peak RSS, 0.7-0.8 s for the network and 12 ms a step on a 2-vCPU host.
 MAX_DISPERSAL_NODES = 8192
 
 KINDS = ("discrimination", "dispersal")
@@ -528,22 +529,22 @@ def _run_dispersal_group(
             return np.take(table, (own + own + other) * n_cols + pick)
 
     else:
-        # The mean over neighbours is the row sum of the dense (agent,
-        # neighbour) pair rewards, zero off the edges, in numpy's pairwise
-        # order (see ``pairsum``), over the edges alone: one row per
-        # (point, agent).
+        # The mean over neighbours is the dense (agent, neighbour) row sum of
+        # pair rewards, zero off the edges, in numpy's pairwise order, over the
+        # edges alone: ``pairsum`` bincounts them, in (row, neighbour) order,
+        # into numpy's accumulator slots, one row per (point, agent).
         row_sum = PairwiseRowSum(rows, nbr, n_points * n_agents, n_agents)
-        own_at, other_at = rows[row_sum.term], other_rows[row_sum.term]
+        columns = np.arange(len(rows))
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
             # an intp copy scaled in place: the index outgrows the bool actions' dtype
             scaled = acts.astype(np.intp).ravel()
             scaled *= n_cols
-            index = np.take(scaled, own_at)
+            index = np.take(scaled, rows)
             index += index
-            index += np.take(scaled, other_at)
-            index += row_sum.term
+            index += np.take(scaled, other_rows)
+            index += columns
             return row_sum(np.take(table, index)).reshape(n_points, n_agents) / degree_safe
 
     learned = _learn(configs[0], has_neighbors, reward_fn, rng)
@@ -594,12 +595,19 @@ def bin_by_similarity(result: RunResult, loci: int) -> dict[float, float]:
     """Mean cooperation frequency per similarity lattice value k/loci.
 
     Uses every valid (agent, opponent-state) cell, including the self
-    state (similarity 1) when self-play is on.
+    state (similarity 1) when self-play is on. Every similarity must be a
+    lattice value.
     """
     if result.state_mask is None:
         raise ValueError("similarity binning applies to discrimination results")
     cells = np.nonzero(result.state_mask)
-    matches = np.rint(result.similarity[cells] * loci).astype(np.intp)
+    similarity = result.similarity[cells]
+    matches = np.rint(similarity * loci)
+    off = (matches / loci != similarity) | (similarity < 0) | (similarity > 1)
+    if off.any():
+        value = float(similarity[np.argmax(off)])
+        raise ValueError(f"similarity {value!r} is not a lattice value k/{loci} in [0, 1]")
+    matches = matches.astype(np.intp)
     # bincount adds the weights in input order, as a running float sum would
     sums = np.bincount(matches, weights=result.coop_freq[cells])
     counts = np.bincount(matches)

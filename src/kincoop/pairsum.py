@@ -13,14 +13,16 @@ SIAM J. Sci. Comput. 1993):
 - longer rows split at ``n2 = n / 2 - (n / 2) % 8`` and the two halves'
   sums are added.
 
-``PairwiseRowSum`` reproduces that order for a sparse matrix. Every stored
-term goes to a fixed slot (an accumulator or a tail position of its leaf)
-of a buffer laid out as numpy's leaves see the dense row; slots that hold
-no term stay +0.0. Adding +0.0 to a nonzero partial sum changes nothing,
-and under round-to-nearest a sum is -0.0 only if all its terms are -0.0.
-So for a row with at least one term that is not -0.0, the sparse sum is
-bit for bit the dense row's ``sum(axis=-1)``, whatever signed zeros fill
-the rest of that row.
+``PairwiseRowSum`` reproduces that order for a sparse matrix. One
+``np.bincount`` adds every stored term into a fixed slot (an accumulator or
+a tail position of its leaf) of a buffer laid out as numpy's leaves see the
+dense row. It adds each slot's terms to 0.0 in input order, which for terms
+in (row, column) order is the accumulator's own order; slots that hold no
+term stay +0.0. The starting 0.0 and the empty slots change at most the
+sign of a zero: under round-to-nearest a sum is -0.0 only if all its terms
+are -0.0. So for a row with at least one term that is not -0.0, the sparse
+sum is bit for bit the dense row's ``sum(axis=-1)``, whatever signed zeros
+fill the rest of that row.
 """
 
 from __future__ import annotations
@@ -60,21 +62,31 @@ def row_slots(n: int) -> int:
     return ACCUMULATORS * len(leaves) + leaves[-1][1] % ACCUMULATORS
 
 
+def _combine(node: Tree, leaf_sums: np.ndarray) -> np.ndarray:
+    """The sum of the leaves under ``node``, in numpy's order. A closure that
+    called itself would be a reference cycle, holding each call's sums until
+    the cycle collector ran."""
+    if isinstance(node, int):
+        return leaf_sums[node]
+    return _combine(node[0], leaf_sums) + _combine(node[1], leaf_sums)
+
+
 class PairwiseRowSum:
     """Row sums of a sparse ``(n_rows, n)`` matrix, equal bit for bit to
     ``dense.sum(axis=-1)`` on every row that holds a term other than -0.0.
 
-    The terms' positions are given once, as ``rows`` and ``cols`` without
-    repeats. A call takes the values of all terms as one flat array in the
-    plan's layout: entry ``k`` is the value of term ``term[k]``. Each slot's
-    first term is written and its later ones, which share an accumulator,
-    are added in column order. Cost per call: one write per term, then the
-    fixed combine over ``row_slots(n)`` slots per row, about ``8 * n / 128``.
+    The terms' positions are given once, as ``rows`` and ``cols`` in (row,
+    column) order without repeats. A call takes the values of all terms as
+    one flat array in that order. Cost per call: one ``bincount`` of the
+    terms into ``row_slots(n)`` slots per row, about ``8 * n / 128``, then
+    the fixed combine over those slots.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n: int):
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
+        if np.any(np.diff(rows * n + cols) <= 0):
+            raise ValueError("terms must be in (row, column) order, without repeats")
         leaves, self._tree = pairwise_tree(n)
         starts = np.array([start for start, _ in leaves], dtype=np.intp)
         lengths = np.array([length for _, length in leaves], dtype=np.intp)
@@ -89,47 +101,21 @@ class PairwiseRowSum:
             (offset % ACCUMULATORS) * n_leaves + leaf,
             ACCUMULATORS * n_leaves + offset - body[leaf],
         )
-
-        # rank of each term among those sharing its slot, in column order
-        by_slot = np.lexsort((cols, rows, block))
-        slot_key = block[by_slot] * n_rows + rows[by_slot]
-        first = np.flatnonzero(np.r_[True, slot_key[1:] != slot_key[:-1]])
-        rank = np.empty(len(cols), dtype=np.intp)
-        rank[by_slot] = np.arange(len(cols)) - np.repeat(first, np.diff(np.r_[first, len(cols)]))
-
-        # flat layout: rank by rank, each rank's terms in input order
-        self.term = np.argsort(rank, kind="stable")
         # buffer of (slot block, row)
-        self._target = block[self.term] * n_rows + rows[self.term]
-        self._first = int(np.count_nonzero(rank == 0))
-
+        self._bins = block * n_rows + rows
+        self._shape = (row_slots(n), n_rows)
         self._accumulators = ACCUMULATORS * n_leaves
-        self._buffer = np.zeros((row_slots(n), n_rows))
-        self._leaf_sums = np.empty((n_leaves, n_rows))
-        self._pairs = np.empty((4, self._leaf_sums.size))
-        self._quads = np.empty((2, self._leaf_sums.size))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Row sums, shape ``(n_rows,)``, of the flat ``values``; the result
-        may be a view that the next call overwrites."""
-        flat = self._buffer.reshape(-1)
-        first = self._first
-        flat[self._target[:first]] = values[:first]
-        # ufunc.at adds in index order, so each slot's later terms go in by rank
-        np.add.at(flat, self._target[first:], values[first:])
-
-        body = self._buffer[: self._accumulators].reshape(ACCUMULATORS, -1)
-        np.add(body[0::2], body[1::2], out=self._pairs)
-        np.add(self._pairs[0::2], self._pairs[1::2], out=self._quads)
-        leaf_sums = self._leaf_sums
-        np.add(self._quads[0], self._quads[1], out=leaf_sums.reshape(-1))
-        last = leaf_sums[-1]
-        for tail in self._buffer[self._accumulators :]:
-            np.add(last, tail, out=last)
-
-        def combine(node: Tree) -> np.ndarray:
-            if isinstance(node, int):
-                return leaf_sums[node]
-            return combine(node[0]) + combine(node[1])
-
-        return combine(self._tree)
+        """Row sums, shape ``(n_rows,)``, of the flat ``values``."""
+        slots = np.bincount(self._bins, values, self._shape[0] * self._shape[1])
+        # float64 also when there are no terms, which bincount counts in int64
+        slots = slots.astype(np.float64, copy=False).reshape(self._shape)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place into r0
+        body = slots[: self._accumulators].reshape(ACCUMULATORS, -1)
+        for step in (1, 2, 4):
+            body[:: 2 * step] += body[step :: 2 * step]
+        leaf_sums = body[0].reshape(-1, self._shape[1])
+        for tail in slots[self._accumulators :]:
+            leaf_sums[-1] += tail
+        return _combine(self._tree, leaf_sums)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -407,6 +408,17 @@ class TestDiscriminationRunner:
         bins = bin_by_similarity(result, 3)
         assert bins == {k / 3: sums[k] / counts[k] for k in sums}
         assert all(type(v) is float for v in bins.values())
+
+    @pytest.mark.parametrize("value", [0.3, -1 / 3, 4 / 3])
+    def test_bins_reject_off_lattice_similarity(self, value):
+        # off the lattice k/3, or a lattice step outside [0, 1]
+        result = run_discrimination(small_discrimination(), 0)
+        similarity = result.similarity.copy()
+        similarity[tuple(np.argwhere(result.state_mask)[1])] = value
+        result = dataclasses.replace(result, similarity=similarity)
+        message = f"similarity {value!r} is not a lattice value k/3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bin_by_similarity(result, 3)
 
     def test_monotone_in_similarity(self):
         tables = [

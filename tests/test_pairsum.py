@@ -2,10 +2,14 @@
 
 The dispersal reward sums each agent's neighbour terms in the order of
 numpy's pairwise row sum, so that it equals the dense ``sum(axis=-1)`` bit
-for bit. These tests compare that order, as ``PairwiseRowSum`` builds it,
-with the installed numpy, so that a numpy release that sums differently
-fails here with its cause named, not only as a digest mismatch.
+for bit. ``PairwiseRowSum`` gets that order from one ``np.bincount`` into
+numpy's accumulator slots, followed by numpy's fixed combine. These tests
+compare the result with the installed numpy, so that a numpy release that
+sums differently fails here with its cause named, not only as a digest
+mismatch.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ def test_full_rows_match_numpy_sum(n):
     x = mixed_rows(np.random.default_rng(n), (6, n))
     rows, cols = np.divmod(np.arange(6 * n), n)
     row_sum = PairwiseRowSum(rows, cols, 6, n)
-    got = row_sum(x.reshape(-1)[row_sum.term])
+    got = row_sum(x.reshape(-1))
     assert_bits_equal(got, x.sum(axis=-1), n)
 
 
@@ -51,7 +55,7 @@ def test_sparse_rows_match_dense_sum_with_signed_zeros(n):
     dense = np.where(stored, x, zeros)
     rows, cols = np.nonzero(stored)
     row_sum = PairwiseRowSum(rows, cols, 6, n)
-    got = row_sum(x[rows, cols][row_sum.term])
+    got = row_sum(x[rows, cols])
     assert_bits_equal(got, dense.sum(axis=-1), n)
 
 
@@ -60,6 +64,41 @@ def test_rows_without_terms_sum_to_zero():
     assert row_sum(np.array([2.5])).tolist() == [0.0, 2.5, 0.0]
     empty = PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 4, 4)
     assert empty(np.zeros(0)).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_no_terms_give_float_zeros():
+    # np.bincount returns int64 zeros when it is given no terms
+    empty = PairwiseRowSum(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 2, 300)
+    assert empty(np.zeros(0)).dtype == np.float64
+
+
+def test_repeated_term_is_rejected():
+    with pytest.raises(ValueError, match="without repeats"):
+        PairwiseRowSum(np.array([0, 1, 1]), np.array([2, 3, 3]), 2, 4)
+
+
+def test_out_of_order_terms_are_rejected():
+    # the exact bits rest on each accumulator taking its terms in column order
+    with pytest.raises(ValueError, match=r"\(row, column\) order"):
+        PairwiseRowSum(np.array([0, 0, 1]), np.array([3, 2, 0]), 2, 4)
+    with pytest.raises(ValueError, match=r"\(row, column\) order"):
+        PairwiseRowSum(np.array([1, 0]), np.array([0, 3]), 2, 4)
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # a reference cycle per call would keep each call's buffers alive until
+    # the cycle collector runs, and raise the dispersal run's peak memory
+    rows, cols = np.divmod(np.arange(3 * 300), 300)
+    row_sum = PairwiseRowSum(rows, cols, 3, 300)
+    values = np.ones(len(rows))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            row_sum(values)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tree_shapes():
@@ -79,4 +118,4 @@ def test_row_slots(n, slots):
     # 8 accumulators per leaf, plus the last leaf's n % 8 tail
     assert row_slots(n) == slots
     empty = np.zeros(0, dtype=int)
-    assert PairwiseRowSum(empty, empty, 1, n)._buffer.shape == (slots, 1)
+    assert PairwiseRowSum(empty, empty, 1, n)._shape == (slots, 1)
