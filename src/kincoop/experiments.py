@@ -17,8 +17,8 @@ supply what differs:
   neighbors, or the reward against one sampled neighbor.
 
 The dispersal rewards touch the edges alone. All points' directed edges, in
-one list, have their four action pairs' rewards tabled once per group, with
-the similarity looked up per community pair. The mean over neighbors is the
+one list, each read the pair-table column of their point and similarity, the
+similarity looked up per community pair. The mean over neighbors is the
 row sum that the dense (agent, neighbor) matrix of pair rewards, zero off
 the edges, would give under numpy's ``sum(axis=-1)``. ``pairsum`` gets it
 over one row per (point, agent): one ``np.bincount`` adds the edges' terms,
@@ -30,9 +30,9 @@ array is built unless a similarity override is given.
 
 Optionally each reward credits the opponent's payoff weighted by genetic
 similarity w: ``w * pm[other, own] + pm[own, other]``, written once, in
-``games.kin_weighted_payoffs``. ``_pair_table`` tables it per action pair and
-(point, weight) column (per distinct similarity in discrimination, per
-directed edge in dispersal), so every reward path is one ``np.take``.
+``games.kin_weighted_payoffs``. ``_pair_table`` tables it once per group in
+one layout, a row per action pair and a column per (point, distinct
+similarity), which every reward path of both runners reads with one ``np.take``.
 Randomness is consumed in fixed-shape blocks every step, so two runs that
 differ only in reward wiring draw identical streams; that is what makes
 the zero-similarity override produce bit-identical results for the
@@ -95,7 +95,7 @@ MAX_DISCRIMINATION_AGENTS = 1024
 
 # A dense dispersal point sums its rewards over N * pairsum.row_slots(N), about
 # N * N / 16, float64 slots, and its network takes N * N uniforms: at 8192 nodes,
-# 83 MiB peak RSS, 0.7-0.8 s for the network and 12 ms a step on a 2-vCPU host.
+# 81 MiB peak RSS, 0.45 s for the network and 7-9 ms a step on a 2-vCPU host.
 MAX_DISPERSAL_NODES = 8192
 
 KINDS = ("discrimination", "dispersal")
@@ -285,6 +285,9 @@ def _similarity(
     sim = np.array(override, dtype=float)
     if sim.shape != (len(genotypes), len(genotypes)):
         raise ValueError("similarity override has the wrong shape")
+    if not np.isfinite(sim).all():
+        i, j = np.argwhere(~np.isfinite(sim))[0]
+        raise ValueError(f"similarity override entry ({i}, {j}) is {float(sim[i, j])}, not finite")
     return sim
 
 
@@ -395,21 +398,21 @@ def _check_group(configs: Sequence[ExperimentConfig], kind: str) -> None:
 
 
 def _pair_table(
-    configs: Sequence[ExperimentConfig], point: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """The kin-weighted pair reward per action pair and column, built one run of
-    equal ``point`` at a time: ``table[2 * a_own + a_other, j]`` is
-    ``games.kin_weighted_payoffs`` at ``weights[j]`` for point ``point[j]``'s
-    payoffs ``pm``, or at 0.0 for a baseline point. ``pm + ±0.0 * x == pm`` as no
-    payoff entry is -0.0, so a baseline point's reward is its payoff bit for bit."""
-    bounds = [0, *(np.flatnonzero(np.diff(point)) + 1).tolist(), len(point)]
-    table = np.empty((4, len(point)))
-    for start, stop in zip(bounds, bounds[1:]):
-        config = configs[point[start]]
-        w = weights[start:stop] if config.inclusive else np.zeros(stop - start)
-        block = kin_weighted_payoffs(payoff_matrix(config.dilemma), w)  # [column, own, other]
-        table[:, start:stop] = block.reshape(-1, 4).T
-    return table
+    configs: Sequence[ExperimentConfig], weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kin-weighted pair reward per action pair and (point, distinct weight)
+    column, and each weight's class u among the U distinct ``weights``, in their
+    shape: ``table[2 * a_own + a_other, p * U + u]`` is ``games.kin_weighted_payoffs``
+    at class u's weight for point p's payoffs ``pm``, or at 0.0 for a baseline
+    point. ``pm + ±0.0 * x == pm`` as no payoff entry is -0.0, so a baseline point's
+    reward is its payoff bit for bit, and -0.0 and 0.0 share a class."""
+    values, column = np.unique(weights, return_inverse=True)
+    table = np.empty((4, len(configs), len(values)))
+    for p, config in enumerate(configs):
+        w = values if config.inclusive else np.zeros(len(values))
+        block = kin_weighted_payoffs(payoff_matrix(config.dilemma), w)  # [u, own, other]
+        table[:, p] = block.reshape(-1, 4).T
+    return table.reshape(4, -1), column.reshape(np.shape(weights))
 
 
 def _run_discrimination_group(
@@ -433,13 +436,11 @@ def _run_discrimination_group(
     sim = _similarity(genotypes, similarity_override)
     weights = sim.copy()
     np.fill_diagonal(weights, 1.0)  # self-relatedness is exactly 1
-    # One table column per (point, distinct weight); ``offset[p, i, j]`` is
-    # cell (i, j)'s column for point p, its flat index at action-pair row 0.
-    values, column = np.unique(weights, return_inverse=True)
-    n_points, n_values = len(configs), len(values)
-    n_cols = n_points * n_values
-    table = _pair_table(configs, np.arange(n_cols) // n_values, np.tile(values, n_points)).ravel()
-    offset = column.reshape(weights.shape) + n_values * np.arange(n_points)[:, None, None]
+    # ``offset[p, i, j]`` is cell (i, j)'s column for point p, its flat index
+    # at action-pair row 0.
+    table, column = _pair_table(configs, weights)
+    n_points, n_cols = len(configs), table.shape[1]
+    offset = column + n_cols // n_points * np.arange(n_points)[:, None, None]
     del weights, column
     state_mask = np.ones((n_agents, n_agents), dtype=bool)
     if not config.self_play:
@@ -502,9 +503,10 @@ def _run_dispersal_group(
         agent, nbr = agent[by_agent], nbr[by_agent]
         return agent, nbr, _edge_similarity(net, similarity_override, agent, nbr)
 
-    # Every point's directed edges in one list, point by point: the table's
-    # columns, then one zero-weight column where an isolated agent's pick
-    # after the last edge lands (the kernel masks its update).
+    # Every point's directed edges in one list, point by point, then a zero
+    # weight where an isolated agent's pick after the last edge lands (the
+    # kernel masks its update), which also gives an edgeless group a column.
+    # ``column`` holds each entry's (point, similarity) column of the table.
     edges = {partition: directed(net) for partition, net in nets.items()}
     parts = [edges[c.partition] for c in configs]
     point = np.repeat(np.arange(n_points), [len(part[0]) for part in parts])
@@ -512,12 +514,13 @@ def _run_dispersal_group(
     rows, other_rows = point * n_agents + agent, point * n_agents + nbr
     nbr_count = np.bincount(rows, minlength=n_points * n_agents).reshape(n_points, n_agents)
     has_neighbors = nbr_count > 0
-    n_cols = len(point) + 1
-    table = _pair_table(configs, np.append(point, 0), np.append(sim, 0.0)).ravel()
+    table, column = _pair_table(configs, np.append(sim, 0.0))
+    n_cols = table.shape[1]
+    column += n_cols // n_points * np.append(point, 0)
 
     if configs[0].edge_sampling:
         # CSR neighbour lists over the (point, agent) rows: ``nbr_at`` holds
-        # each column's neighbour row. Only each agent's picked pair is evaluated.
+        # each entry's neighbour row. Only each agent's picked pair is evaluated.
         nbr_start = np.cumsum(nbr_count).reshape(n_points, n_agents) - nbr_count
         nbr_at = np.append(other_rows, 0)
 
@@ -526,7 +529,7 @@ def _run_dispersal_group(
             pick = nbr_start + (picks * nbr_count).astype(np.intp)
             own = acts.astype(np.intp)
             other = np.take(own, np.take(nbr_at, pick))
-            return np.take(table, (own + own + other) * n_cols + pick)
+            return np.take(table, (own + own + other) * n_cols + np.take(column, pick))
 
     else:
         # The mean over neighbours is the dense (agent, neighbour) row sum of
@@ -534,7 +537,7 @@ def _run_dispersal_group(
         # edges alone: ``pairsum`` bincounts them, in (row, neighbour) order,
         # into numpy's accumulator slots, one row per (point, agent).
         row_sum = PairwiseRowSum(rows, nbr, n_points * n_agents, n_agents)
-        columns = np.arange(len(rows))
+        column = column[:-1]
         degree_safe = np.maximum(nbr_count, 1).astype(float)
 
         def reward_fn(acts: np.ndarray) -> np.ndarray:
@@ -544,7 +547,7 @@ def _run_dispersal_group(
             index = np.take(scaled, rows)
             index += index
             index += np.take(scaled, other_rows)
-            index += columns
+            index += column
             return row_sum(np.take(table, index)).reshape(n_points, n_agents) / degree_safe
 
     learned = _learn(configs[0], has_neighbors, reward_fn, rng)

@@ -106,6 +106,15 @@ class TestCommandOptions:
         assert {"--out-dir", "--jobs"} <= named
         assert named - options == set()
 
+    def test_readme_library_use_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"^```python\n(.*?)^```$", section, re.M | re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1] == "True"
+        assert printed[2] == str(np.array([1.0, 2 / 3, 0.0]))  # the commented values
+
 
 class TestMissingConfig:
     def test_exit_two_names_path(self, runner):

@@ -320,6 +320,15 @@ class TestDiscriminationRunner:
             assert a.converged_at == b.converged_at
             assert a.steps_run == b.steps_run
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_override_rejected(self, value):
+        # the first non-finite entry in row-major order is named
+        override = np.eye(8)
+        override[6, 1] = override[2, 5] = value
+        message = f"similarity override entry (2, 5) is {value}, not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_discrimination(small_discrimination(), 1, similarity_override=override)
+
     def test_single_agent_self_play_cooperates(self):
         cfg = ExperimentConfig(
             kind="discrimination",
@@ -443,6 +452,15 @@ class TestDispersalRunner:
         assert np.array_equal(a.coop_freq, b.coop_freq)
         assert np.array_equal(a.q_values, b.q_values)
         assert a.converged_at == b.converged_at
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_override_rejected(self, value):
+        # off every edge too: the whole override is checked
+        override = np.eye(64)
+        override[63, 0] = override[40, 3] = value
+        message = f"similarity override entry (40, 3) is {value}, not finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_dispersal(small_dispersal(), 1, similarity_override=override)
 
     def test_cliques_cooperate(self):
         # within-clique play against clones only: cooperation should win
@@ -589,12 +607,12 @@ class TestPairTable:
     def test_columns_are_the_transformed_game(self, loci, benefit, cost):
         dilemma = DilemmaParams(benefit, cost)
         lattice = np.arange(loci + 1) / loci
-        table = _pair_table(
+        table, column = _pair_table(
             [small_discrimination(dilemma=dilemma, inclusive=inc) for inc in (True, False)],
-            np.repeat([0, 1], loci + 1),
-            np.tile(lattice, 2),
+            lattice,
         )
         assert table.shape == (4, 2 * (loci + 1))
+        assert column.tolist() == list(range(loci + 1))
         for k, h in enumerate(lattice):
             assert table[:, k].tobytes() == transformed_matrix(dilemma, h).tobytes()
             # a baseline point's rewards are its payoffs, bit for bit
@@ -605,47 +623,65 @@ class TestPairTable:
         # (b - c)(1 + h), -c + h·b, b - h·c rounds differently at some points
         benefits = np.arange(1.5, 20.0 + 0.25, 0.5)
         lattice = np.arange(7) / 6
-        table = _pair_table(
+        table, column = _pair_table(
             [small_discrimination(dilemma=DilemmaParams(float(b), 1.0)) for b in benefits],
-            np.repeat(np.arange(len(benefits)), len(lattice)),
-            np.tile(lattice, len(benefits)),
+            lattice[::-1],
         )
+        assert column.tolist() == list(range(len(lattice)))[::-1]
         for j, (b, h) in enumerate(itertools.product(benefits, lattice)):
             expected = transformed_matrix(DilemmaParams(float(b), 1.0), h)
             assert table[:, j].tobytes() == expected.tobytes()
 
 
 class TestPairTableBuild:
-    """``_pair_table`` builds each run of equal ``point`` through
-    ``games.kin_weighted_payoffs``, with nothing table-sized beside the table."""
+    """``_pair_table`` has one column per point and distinct weight, built
+    point by point through ``games.kin_weighted_payoffs``, with nothing
+    table-sized beside the table."""
 
-    def test_runs_and_the_trailing_pad_column(self):
-        # dispersal's pad column, after the last point, belongs to point 0
-        configs = [
-            small_dispersal(dilemma=DilemmaParams(b, 1.0), inclusive=inclusive)
-            for b, inclusive in [(2.0, True), (5.0, False), (9.0, True)]
-        ]
-        point = np.array([0, 0, 1, 1, 1, 2, 0])
-        weights = np.array([0.25, -1.0, 0.5, 0.75, 1.0, -0.5, 0.0])
-        table = _pair_table(configs, point, weights)
-        assert table.shape == (4, len(point))
-        for j, (p, w) in enumerate(zip(point, weights)):
-            pm = payoff_matrix(configs[p].dilemma)
-            expected = (w if configs[p].inclusive else 0.0) * pm.T + pm
-            assert table[:, j].tobytes() == expected.tobytes(), j
+    CONFIGS = [
+        small_dispersal(dilemma=DilemmaParams(b, 1.0), inclusive=inclusive)
+        for b, inclusive in [(2.0, True), (5.0, False), (9.0, True)]
+    ]
+
+    def check_columns(self, weights):
+        table, column = _pair_table(self.CONFIGS, weights)
+        n_values = len(np.unique(weights))
+        assert table.shape == (4, len(self.CONFIGS) * n_values)
+        assert column.shape == np.shape(weights)
+        for p, config in enumerate(self.CONFIGS):
+            pm = payoff_matrix(config.dilemma)
+            for w, u in zip(np.ravel(weights), column.ravel()):
+                expected = (w if config.inclusive else 0.0) * pm.T + pm
+                assert table[:, p * n_values + u].tobytes() == expected.tobytes(), (p, w)
+        return table, column
+
+    def test_negative_weights_and_the_weights_shape(self):
+        # a similarity override may hold any finite values, in any shape
+        weights = np.array([[0.25, -1.0, 0.5], [0.75, 1.0, -0.5]])
+        self.check_columns(weights)
+
+    def test_repeated_weights_share_one_column(self):
+        weights = np.array([0.5, 0.25, 0.5, 0.5, 0.25, 1.0])
+        _, column = self.check_columns(weights)
+        assert column.tolist() == [1, 0, 1, 1, 0, 2]
+
+    def test_signed_zeros_share_one_column_with_the_payoffs_bits(self):
+        table, column = self.check_columns(np.array([-0.0, 0.5, 0.0, -0.0]))
+        assert column.tolist() == [0, 1, 0, 0]
+        for p, config in enumerate(self.CONFIGS):
+            assert table[:, 2 * p].tobytes() == payoff_matrix(config.dilemma).tobytes()
 
     def test_peak_below_one_and_a_half_tables(self):
-        # 36 points of 8000 edges and the pad column, as one dispersal group lays them
+        # 36 points of 8000 distinct weights
         configs = both_modes(small_dispersal, benefits=np.arange(2.0, 20.0))
-        point = np.append(np.repeat(np.arange(len(configs)), 8000), 0)
-        weights = np.append(np.random.default_rng(0).uniform(-1, 1, len(point) - 1), 0.0)
+        weights = np.random.default_rng(0).uniform(-1, 1, 8000)
         tracemalloc.start()
         try:
-            table = _pair_table(configs, point, weights)
+            table, _ = _pair_table(configs, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(configs) == 36 and table.shape == (4, 36 * 8000 + 1)
+        assert len(configs) == 36 and table.shape == (4, 36 * 8000)
         assert peak < 1.5 * table.nbytes
 
 
@@ -733,7 +769,7 @@ def groups(draw):
     else:
         shared["edge_sampling"] = draw(st.booleans())
         # at k_avg 0.5 about 60 % of the nodes are isolated, often a network's last
-        # ones, whose edge-sampling pick lands on the pad column
+        # ones, whose edge-sampling pick lands on the appended zero weight
         point["partition"] = st.builds(
             PartitionSpec, st.just(16 // space.size), st.just(space.size),
             st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.2, 0.5, 1.0]),
@@ -742,25 +778,52 @@ def groups(draw):
     return tuple(ExperimentConfig(**shared, **fields) for fields in points)
 
 
+@st.composite
+def similarity_overrides(draw, n, loci):
+    """No override, a symmetric n x n matrix of lattice values k/loci, or
+    arbitrary finite floats with negatives and both signed zeros among them."""
+    kind = draw(st.sampled_from(["none", "lattice", "floats"]))
+    if kind == "none":
+        return None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        upper = np.triu(rng.integers(0, loci + 1, (n, n)) / loci)
+        return upper + np.triu(upper, 1).T
+    values = rng.uniform(-2.0, 2.0, (n, n))
+    zeros = rng.random((n, n))
+    values[zeros < 0.2] = -0.0
+    values[zeros > 0.8] = 0.0
+    return values
+
+
 class TestGroupInvariant:
     """Every point of a group, and of any subset of it in any order, learns
-    bit for bit as it would alone, and a sweep's output does not depend on
-    how its groups are cut into chunks for the workers."""
+    bit for bit as it would alone, under any similarity override, and a
+    sweep's output does not depend on how its groups are cut into chunks for
+    the workers. Under an override a dispersal group's pair table spans the
+    distinct similarities of every point's edges, more than a lone run's."""
 
     @settings(max_examples=25, deadline=None)
     @given(groups(), st.data(), st.integers(0, 2**32 - 1))
     def test_group_subset_and_sweep_equal_lone_runs(self, group, data, seed):
-        run_single = run_discrimination if group[0].kind == "discrimination" else run_dispersal
-        lone = [run_single(cfg, seed) for cfg in group]
+        cfg = group[0]
+        if cfg.kind == "discrimination":
+            run_single, run_group, n = run_discrimination, _run_discrimination_group, cfg.space.size
+        else:
+            run_single, run_group, n = run_dispersal, _run_dispersal_group, cfg.partition.node_count
+        override = data.draw(similarity_overrides(n, cfg.space.loci))
+        lone = [run_single(c, seed, similarity_override=override) for c in group]
         order = data.draw(st.permutations(range(len(group))))
         subset = order[: data.draw(st.integers(1, len(group)))]
         for points in (range(len(group)), subset):
-            results = experiments._run_points([group[k] for k in points], seed)
+            results = run_group([group[k] for k in points], seed, similarity_override=override)
             assert len(results) == len(points)
             for k, got in zip(points, results):
                 assert_same_result(got, lone[k])
 
-        tasks = [SweepTask((k,), cfg, seed) for k, cfg in enumerate(group)]
+        if override is not None:
+            lone = [run_single(c, seed) for c in group]
+        tasks = [SweepTask((k,), c, seed) for k, c in enumerate(group)]
         with mock.patch.object(experiments, "ProcessPoolExecutor", SerialPool):
             sweeps = [run_sweep(tasks, jobs) for jobs in (1, 2, 3, 4)]
         assert all(sweep == sweeps[0] for sweep in sweeps[1:])
