@@ -12,7 +12,7 @@ import functools
 import os
 import platform
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import click
 import numpy as np
@@ -50,17 +50,6 @@ def _friendly_errors(fn):
             raise click.UsageError(str(exc)) from exc
 
     return wrapper
-
-
-def _resolve_out_dir(config_value: Optional[str], flag_value: Optional[Path]) -> Path:
-    if flag_value is not None:
-        out = Path(flag_value)
-    elif config_value:
-        out = Path(config_value)
-    else:
-        out = Path(os.environ.get(OUT_DIR_ENV, "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _usable_cpus() -> int:
@@ -108,11 +97,12 @@ _set_option = click.option(
     help="Override a config key by dotted path, e.g. -s learner.alpha=0.2",
 )
 _out_dir_option = click.option(
-    "--out-dir", type=click.Path(file_okay=False, path_type=Path), default=None,
-    help=f"Output directory (default: config, then ${OUT_DIR_ENV}, then '.')",
+    "--out-dir", "out", type=click.Path(file_okay=False, path_type=Path), envvar=OUT_DIR_ENV,
+    default=".", show_default=True, show_envvar=True, help="Output directory",
 )
 _jobs_option = click.option(
-    "--jobs", type=int, default=None, help="Parallel worker processes (0 = one per usable CPU)"
+    "--jobs", type=click.IntRange(min=0), default=0,
+    help="Parallel worker processes (0 = one per usable CPU)",
 )
 
 
@@ -122,24 +112,22 @@ def main():
     """Cooperation experiments for kin-related independent learners."""
 
 
-def _load(config_file: Path, experiment: str, overrides, jobs: Optional[int] = None) -> dict:
-    """Load a config file of ``experiment``, set ``jobs`` if given, and resolve it."""
+def _load(config_file: Path, experiment: str, overrides) -> dict:
+    """Load a config file of ``experiment`` and resolve it."""
     data = load_config_file(config_file)
     data.setdefault("experiment", experiment)
     if data["experiment"] != experiment:
         raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
-    if jobs is not None:
-        data["jobs"] = jobs
     return resolve_config(data, overrides)
 
 
-def _sweep(plan: SweepPlan, table: Callable[[dict], Mapping], labels: tuple[str, ...]):
-    """Run every (point, seed) of ``plan`` and aggregate each point's per-seed
-    ``table(payload)``. Returns the (point key, aggregate row) pairs sorted by
-    key and row key, and each run's meta, labelled by its point's key, in
-    config order."""
+def _sweep(plan: SweepPlan, jobs: int, table: Callable[[dict], Mapping], labels: tuple[str, ...]):
+    """Run every (point, seed) of ``plan`` on ``jobs`` workers and aggregate
+    each point's per-seed ``table(payload)``. Returns the (point key,
+    aggregate row) pairs sorted by key and row key, and each run's meta,
+    labelled by its point's key, in config order."""
     tasks = [SweepTask(key, config, seed) for key, config in plan.points for seed in plan.seeds]
-    results = run_sweep(tasks, _effective_jobs(plan.jobs))
+    results = run_sweep(tasks, _effective_jobs(jobs))
     rows, run_meta = [], []
     for key, _ in plan.points:
         payloads = [results[key][seed] for seed in plan.seeds]
@@ -159,7 +147,8 @@ def _write_sweep(
     header: list[str], csv_rows: list[list], run_meta: list[dict], chart: dict,
 ) -> None:
     """Write ``<command>.csv``, ``<command>_runs.json``, the chart (``line_chart``
-    keywords) as ``<command>.svg`` when the plan plots, and the manifest."""
+    keywords) as ``<command>.svg`` when the plan plots, and the manifest. A
+    sweep that does not plot removes the chart an earlier run left there."""
     csv_path = out_dir / f"{command}.csv"
     with write_atomic(csv_path, newline="") as handle:
         writer = csv.writer(handle)
@@ -168,11 +157,13 @@ def _write_sweep(
     meta_path = out_dir / f"{command}_runs.json"
     write_atomic_json(meta_path, run_meta)
     outputs = [csv_path, meta_path]
+    svg_path = out_dir / f"{command}.svg"
     if plan.plot:
-        svg_path = out_dir / f"{command}.svg"
         with write_atomic(svg_path) as handle:
             handle.write(line_chart(**chart))
         outputs.append(svg_path)
+    else:
+        svg_path.unlink(missing_ok=True)
     outputs.append(_write_manifest(out_dir, command, plan.resolved, plan.seeds, started, outputs))
     click.echo(f"wrote {csv_path} ({len(csv_rows)} rows, {len(plan.seeds)} seeds)")
 
@@ -183,12 +174,12 @@ def _write_sweep(
 @_out_dir_option
 @_jobs_option
 @_friendly_errors
-def discrimination(config_file, overrides, out_dir, jobs):
+def discrimination(config_file, overrides, out, jobs):
     """Opponent-discrimination experiment on a complete network."""
     started = _timestamp()
-    plan = build_discrimination_plan(_load(config_file, "discrimination", overrides, jobs))
-    out = _resolve_out_dir(plan.out_dir, out_dir)
-    rows, run_meta = _sweep(plan, lambda payload: payload["bins"], ("c_over_b",))
+    plan = build_discrimination_plan(_load(config_file, "discrimination", overrides))
+    out.mkdir(parents=True, exist_ok=True)
+    rows, run_meta = _sweep(plan, jobs, lambda payload: payload["bins"], ("c_over_b",))
     _write_sweep(
         out, "discrimination", plan, started,
         ["c_over_b", "h", "coop_freq_mean", "coop_freq_se", "n_seeds"],
@@ -215,13 +206,13 @@ def discrimination(config_file, overrides, out_dir, jobs):
 @_out_dir_option
 @_jobs_option
 @_friendly_errors
-def dispersal(config_file, overrides, out_dir, jobs):
+def dispersal(config_file, overrides, out, jobs):
     """Limited-dispersal experiment on random partition networks."""
     started = _timestamp()
-    plan = build_dispersal_plan(_load(config_file, "dispersal", overrides, jobs))
-    out = _resolve_out_dir(plan.out_dir, out_dir)
+    plan = build_dispersal_plan(_load(config_file, "dispersal", overrides))
+    out.mkdir(parents=True, exist_ok=True)
     rows, run_meta = _sweep(
-        plan, lambda payload: {"p": payload["proportion"]}, ("eta", "b_over_c", "inclusive")
+        plan, jobs, lambda payload: {"p": payload["proportion"]}, ("eta", "b_over_c", "inclusive")
     )
     # one series per (eta, mode) in config order, the order of the points
     lines = dict.fromkeys((eta, incl) for (eta, _, incl), _ in plan.points)
@@ -256,11 +247,11 @@ IDENTITY_TOLERANCE = 1e-9
 @_set_option
 @_out_dir_option
 @_friendly_errors
-def sandbox(config_file, overrides, out_dir):
+def sandbox(config_file, overrides, out):
     """Birth/death sandbox generating population-reward traces."""
     started = _timestamp()
     plan = build_sandbox_plan(_load(config_file, "sandbox", overrides))
-    out = _resolve_out_dir(plan.out_dir, out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     trace = run_sandbox(plan.sandbox, np.random.default_rng(plan.seed))
     # verify before writing: a failed check leaves no outputs and no manifest

@@ -4,10 +4,12 @@ A config is a single YAML mapping whose key tree mirrors the experiment
 parameters; every key has a default, so a file may be as short as
 ``experiment: discrimination``. Flat ``key.path=value`` overrides are
 merged on top; they may not change ``experiment``. Unknown keys are
-rejected with their full path, as is a value that is not a mapping where
-the defaults hold one. Under ``policy`` the keys of every policy kind are
-known and type-checked, though a policy reads only its own kind's keys.
-Every validation message names the offending key.
+rejected with their full path, as are a key given twice in one mapping
+and a value that is not a mapping where the defaults hold one. Under
+``policy`` the keys of every policy kind are known and type-checked,
+though a policy reads only its own kind's keys. Every validation message
+names the offending key. Where a run writes and on how many workers are
+not keys: they are the CLI's ``--out-dir`` and ``--jobs``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import yaml
 
@@ -56,9 +58,7 @@ _LEARNER_DEFAULTS = {
 
 DISCRIMINATION_DEFAULTS = {
     "experiment": "discrimination",
-    "out_dir": None,
     "seeds": [1, 2, 3, 4, 5],
-    "jobs": 0,
     "plot": True,
     "inclusive": True,
     "self_play": True,
@@ -73,9 +73,7 @@ DISCRIMINATION_DEFAULTS = {
 
 DISPERSAL_DEFAULTS = {
     "experiment": "dispersal",
-    "out_dir": None,
     "seeds": list(range(1, 11)),
-    "jobs": 0,
     "plot": True,
     "modes": ["inclusive", "baseline"],
     "edge_sampling": False,
@@ -102,7 +100,6 @@ _POLICY_KEYS = {"kind"}.union(*POLICY_DEFAULTS.values())
 
 SANDBOX_DEFAULTS = {
     "experiment": "sandbox",
-    "out_dir": None,
     "seed": 1,
     "genotype": {"loci": 4, "variants": 2},
     "initial_genotype": None,
@@ -125,7 +122,10 @@ def load_config_file(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        loader = yaml.SafeLoader(path.read_text(encoding="utf-8"))
+        node = loader.get_single_node()
+        _reject_duplicate_keys(path, node)
+        data = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -135,6 +135,30 @@ def load_config_file(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return data
+
+
+def _reject_duplicate_keys(path: Path, root) -> None:
+    """Raise on a key given twice in one mapping, which YAML would resolve by
+    silently keeping the last value."""
+    stack, checked = [(root, "")], set()
+    while stack:
+        node, where = stack.pop()
+        if id(node) in checked:  # an alias: the node, maybe an ancestor, was walked
+            continue
+        checked.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            keys = set()
+            for key, value in node.value:
+                name = f"{where}.{key.value}" if where else str(key.value)
+                if isinstance(key, yaml.ScalarNode):
+                    if (key.tag, key.value) in keys:
+                        raise ConfigError(
+                            f"{path}: duplicate key {name!r} at line {key.start_mark.line + 1}"
+                        )
+                    keys.add((key.tag, key.value))
+                stack.append((value, name))
+        elif isinstance(node, yaml.SequenceNode):
+            stack += [(item, f"{where}[{i}]") for i, item in enumerate(node.value)]
 
 
 def apply_overrides(data: dict, overrides: Sequence[str]) -> dict:
@@ -199,7 +223,7 @@ def resolve_config(data: dict, overrides: Sequence[str] = ()) -> dict:
 
 def config_hash(resolved: dict) -> str:
     """Platform-stable digest of the experiment-relevant config content."""
-    hashed = {k: v for k, v in resolved.items() if k not in ("out_dir", "jobs", "plot")}
+    hashed = {k: v for k, v in resolved.items() if k != "plot"}
     canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -239,24 +263,11 @@ def _as_seed(value, path: str) -> int:
     return seed
 
 
-def _as_out_dir(value) -> Optional[str]:
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"out_dir: expected a directory path, got {value!r}")
-    return value
-
-
 def _as_reward(value, path: str) -> str:
     kinds = QReproductionPolicy.REWARD_KINDS
     if value not in kinds:
         raise ConfigError(f"{path}: expected one of {', '.join(kinds)}, got {value!r}")
     return value
-
-
-def _as_jobs(value) -> int:
-    jobs = _as_int(value, "jobs")
-    if jobs < 0:
-        raise ConfigError(f"jobs: expected 0 (all cores) or a positive count, got {jobs}")
-    return jobs
 
 
 def _distinct(values: tuple, path: str) -> tuple:
@@ -312,9 +323,7 @@ class SweepPlan:
 
     points: tuple[tuple[tuple, ExperimentConfig], ...]
     seeds: tuple[int, ...]
-    jobs: int
     plot: bool
-    out_dir: Optional[str]
     resolved: dict
 
 
@@ -322,7 +331,6 @@ class SweepPlan:
 class SandboxPlan:
     sandbox: SandboxConfig
     seed: int
-    out_dir: Optional[str]
     resolved: dict
 
 
@@ -357,9 +365,7 @@ def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]
     return SweepPlan(
         points=points,
         seeds=_as_list(resolved["seeds"], "seeds", _as_seed),
-        jobs=_as_jobs(resolved["jobs"]),
         plot=_as_bool(resolved["plot"], "plot"),
-        out_dir=_as_out_dir(resolved["out_dir"]),
         resolved=resolved,
     )
 
@@ -474,6 +480,5 @@ def build_sandbox_plan(resolved: dict) -> SandboxPlan:
     return SandboxPlan(
         sandbox=sandbox,
         seed=_as_seed(resolved["seed"], "seed"),
-        out_dir=_as_out_dir(resolved["out_dir"]),
         resolved=resolved,
     )

@@ -38,6 +38,20 @@ DISP_CFG = {
 
 SAND_CFG = {"experiment": "sandbox", "steps": 40, "seed": 3}
 
+# the parenthesis of each experiment's unknown-key message
+DISC_KNOWN = (
+    "known: dilemma, experiment, genotype, inclusive, learner, plot, seeds, self_play, "
+    "steps_max, window"
+)
+DISP_KNOWN = (
+    "known: dilemma, edge_sampling, experiment, genotype, learner, modes, partition, plot, "
+    "seeds, steps_max, window"
+)
+SAND_KNOWN = (
+    "known: experiment, food_rate, genotype, initial_genotype, initial_health, mutation, "
+    "policy, seed, steps"
+)
+
 
 @pytest.fixture
 def runner():
@@ -46,6 +60,15 @@ def runner():
 
 def write_cfg(path, cfg):
     Path(path).write_text(yaml.safe_dump(cfg), encoding="utf-8")
+
+
+def run(runner, tmp_path, cfg, *args, out="o"):
+    """Write ``cfg`` to ``tmp_path/c.yaml`` and run its experiment's command on
+    it, with ``args``, into ``tmp_path/out``."""
+    write_cfg(tmp_path / "c.yaml", cfg)
+    return runner.invoke(
+        main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / out), *args]
+    )
 
 
 class TestValidate:
@@ -74,22 +97,63 @@ class TestValidate:
         assert result.exit_code == 2
         assert "line" in result.output
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # printed OK, and a run used the last value
+            ("experiment: discrimination\nseeds: [1]\nseeds: [2]\n",
+             "duplicate key 'seeds' at line 3"),
+            ("experiment: sandbox\npolicy:\n  kind: q\n  kind: idle\n",
+             "duplicate key 'policy.kind' at line 4"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_duplicate_key_exits_two(self, runner, tmp_path, text, message):
+        (tmp_path / "c.yaml").write_text(text)
+        result = runner.invoke(main, ["validate", str(tmp_path / "c.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == f"Error: {tmp_path / 'c.yaml'}: {message}"
+
+    def test_self_referencing_alias_exits_two(self, runner, tmp_path):
+        # the duplicate-key walk must stop at a node it has seen
+        (tmp_path / "c.yaml").write_text("experiment: discrimination\nseeds: &s [1, *s]\n")
+        result = runner.invoke(main, ["validate", str(tmp_path / "c.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1].startswith("Error: seeds[1]: expected an")
+
 
 class TestCommandOptions:
     """Each experiment setting reaches a run through the config file or -s
-    alone, and README names no option that a command lacks."""
+    alone, the output directory through --out-dir or $KINCOOP_OUT_DIR alone,
+    and README names no option that a command lacks."""
 
     @pytest.mark.parametrize("command", ["discrimination", "dispersal"])
     @pytest.mark.parametrize("flag", ["--seeds=1", "--inclusive=false", "--plot", "--no-plot"])
     def test_removed_setting_flag_exits_two(self, runner, tmp_path, command, flag):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG if command == "discrimination" else DISP_CFG)
-        out = tmp_path / "o"
-        result = runner.invoke(
-            main, [command, str(tmp_path / "c.yaml"), "--out-dir", str(out), flag]
-        )
+        result = run(runner, tmp_path, DISC_CFG if command == "discrimination" else DISP_CFG, flag)
         assert result.exit_code == 2, result.output
         assert "No such option" in result.output
-        assert not out.exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_out_dir_flag_takes_precedence_over_env_var(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("KINCOOP_OUT_DIR", str(tmp_path / "envout"))
+        result = run(runner, tmp_path, DISC_CFG, out="flag")
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "flag" / "discrimination.csv").exists()
+        assert not (tmp_path / "envout").exists()
+
+    @pytest.mark.parametrize("cfg", [DISC_CFG, DISP_CFG, SAND_CFG], ids=lambda c: c["experiment"])
+    def test_env_var_naming_a_file_exits_two(self, runner, tmp_path, monkeypatch, cfg):
+        # was a FileExistsError traceback, exit 1
+        write_cfg(tmp_path / "c.yaml", cfg)
+        (tmp_path / "taken").write_text("")
+        monkeypatch.setenv("KINCOOP_OUT_DIR", str(tmp_path / "taken"))
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, [cfg["experiment"], str(tmp_path / "c.yaml")])
+        assert result.exit_code == 2, result.output
+        assert "is a file" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "taken"]
+        assert (tmp_path / "taken").read_text() == ""
 
     def test_readme_names_only_existing_options(self):
         options = set()
@@ -125,12 +189,8 @@ class TestMissingConfig:
 
 class TestDiscriminationCommand:
     def test_csv_schema_and_rerun_identical(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
         for out in ("a", "b"):
-            result = runner.invoke(
-                main,
-                ["discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / out)],
-            )
+            result = run(runner, tmp_path, DISC_CFG, out=out)
             assert result.exit_code == 0, result.output
         body_a = (tmp_path / "a" / "discrimination.csv").read_bytes()
         body_b = (tmp_path / "b" / "discrimination.csv").read_bytes()
@@ -144,47 +204,24 @@ class TestDiscriminationCommand:
         # three groups of three benefits; two workers split one group in halves
         cfg = {**DISC_CFG, "dilemma": {"cost": 1.0, "benefits": [4.0, 2.5, 1.4285714285714286]},
                "plot": True}
-        write_cfg(tmp_path / "c.yaml", cfg)
         for jobs in ("1", "2"):
-            result = runner.invoke(main, [
-                "discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / jobs),
-                "-s", "seeds=[1,2,3]", "--jobs", jobs, "-s", f"inclusive={inclusive}",
-            ])
+            result = run(
+                runner, tmp_path, cfg, "-s", "seeds=[1,2,3]", "--jobs", jobs,
+                "-s", f"inclusive={inclusive}", out=jobs,
+            )
             assert result.exit_code == 0, result.output
         for name in ("discrimination.csv", "discrimination.svg", "discrimination_runs.json"):
             one, two = (tmp_path / jobs / name for jobs in ("1", "2"))
             assert one.read_bytes() == two.read_bytes(), name
 
     def test_seeds_override_sets_n_seeds(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "discrimination",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "seeds=[1,2,3]",
-            ],
-        )
+        result = run(runner, tmp_path, DISC_CFG, "-s", "seeds=[1,2,3]")
         assert result.exit_code == 0
         rows = (tmp_path / "o" / "discrimination.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",3") for row in rows)
 
     def test_baseline_flag_defects_against_opponents(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "discrimination",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "inclusive=false",
-            ],
-        )
+        result = run(runner, tmp_path, DISC_CFG, "-s", "inclusive=false")
         assert result.exit_code == 0
         rows = (tmp_path / "o" / "discrimination.csv").read_text().splitlines()[1:]
         for row in rows:
@@ -193,10 +230,7 @@ class TestDiscriminationCommand:
                 assert float(mean) < 0.05
 
     def test_manifest_and_sidecar(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
-        result = runner.invoke(
-            main, ["discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, DISC_CFG)
         assert result.exit_code == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["command"] == "discrimination"
@@ -210,42 +244,22 @@ class TestDiscriminationCommand:
         assert {"seed", "converged_at", "mean_degree", "isolated_count"} <= set(runs[0])
 
     def test_config_hash_stable_across_runs(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
         hashes = []
         for out in ("h1", "h2"):
-            runner.invoke(
-                main,
-                ["discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / out)],
-            )
+            run(runner, tmp_path, DISC_CFG, out=out)
             hashes.append(json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
 
     def test_parallel_matches_serial(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
         for out, jobs in (("ser", "1"), ("par", "2")):
-            result = runner.invoke(
-                main,
-                [
-                    "discrimination",
-                    str(tmp_path / "c.yaml"),
-                    "--out-dir",
-                    str(tmp_path / out),
-                    "--jobs",
-                    jobs,
-                ],
-            )
+            result = run(runner, tmp_path, DISC_CFG, "--jobs", jobs, out=out)
             assert result.exit_code == 0, result.output
         assert (tmp_path / "ser" / "discrimination.csv").read_bytes() == (
             tmp_path / "par" / "discrimination.csv"
         ).read_bytes()
 
     def test_plot_emitted_when_enabled(self, runner, tmp_path):
-        cfg = dict(DISC_CFG)
-        cfg["plot"] = True
-        write_cfg(tmp_path / "c.yaml", cfg)
-        result = runner.invoke(
-            main, ["discrimination", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, {**DISC_CFG, "plot": True})
         assert result.exit_code == 0
         svg = (tmp_path / "o" / "discrimination.svg").read_text()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
@@ -266,24 +280,12 @@ class TestDiscriminationCommand:
 
 
 class TestDefaultSweepShapes:
+    SHORT = ("-s", "seeds=[1]", "-s", "steps_max=300", "-s", "window=50")
+
     def test_discrimination_default_grid(self, runner, tmp_path):
         # default sweep: 7 similarity bins x 3 cost/benefit ratios
-        write_cfg(tmp_path / "c.yaml", {"experiment": "discrimination", "plot": False})
-        result = runner.invoke(
-            main,
-            [
-                "discrimination",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "seeds=[1]",
-                "-s",
-                "steps_max=300",
-                "-s",
-                "window=50",
-            ],
-        )
+        cfg = {"experiment": "discrimination", "plot": False}
+        result = run(runner, tmp_path, cfg, *self.SHORT)
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "o" / "discrimination.csv").read_text().splitlines()[1:]
         assert len(rows) == 21
@@ -292,22 +294,7 @@ class TestDefaultSweepShapes:
 
     def test_dispersal_default_grid(self, runner, tmp_path):
         # default sweep: 3 etas x 6 b/c x {inclusive, baseline}
-        write_cfg(tmp_path / "c.yaml", {"experiment": "dispersal", "plot": False})
-        result = runner.invoke(
-            main,
-            [
-                "dispersal",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "seeds=[1]",
-                "-s",
-                "steps_max=300",
-                "-s",
-                "window=50",
-            ],
-        )
+        result = run(runner, tmp_path, {"experiment": "dispersal", "plot": False}, *self.SHORT)
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "o" / "dispersal.csv").read_text().splitlines()[1:]
         assert len(rows) == 36
@@ -315,10 +302,7 @@ class TestDefaultSweepShapes:
 
 class TestDispersalCommand:
     def test_csv_schema(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISP_CFG)
-        result = runner.invoke(
-            main, ["dispersal", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, DISP_CFG)
         assert result.exit_code == 0, result.output
         lines = (tmp_path / "o" / "dispersal.csv").read_text().splitlines()
         assert lines[0] == "eta,b_over_c,inclusive,coop_prop_mean,coop_prop_se,n_seeds"
@@ -328,56 +312,40 @@ class TestDispersalCommand:
         assert lines[2].startswith("0.1,8,true,")
 
     def test_infeasible_eta_reports_minimum(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISP_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "dispersal",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "partition.etas=[0.01]",
-            ],
-        )
+        result = run(runner, tmp_path, DISP_CFG, "-s", "partition.etas=[0.01]")
         assert result.exit_code == 2
         assert "p_in" in result.output
         assert "0.0357143" in result.output
 
     def test_inclusive_flag_selects_single_mode(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISP_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "dispersal",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "modes=[baseline]",
-            ],
-        )
+        result = run(runner, tmp_path, DISP_CFG, "-s", "modes=[baseline]")
         assert result.exit_code == 0
         lines = (tmp_path / "o" / "dispersal.csv").read_text().splitlines()[1:]
         assert len(lines) == 1 and ",false," in lines[0]
 
     def test_rerun_identical(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISP_CFG)
         bodies = []
         for out in ("a", "b"):
-            runner.invoke(
-                main, ["dispersal", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / out)]
-            )
+            run(runner, tmp_path, DISP_CFG, out=out)
             bodies.append((tmp_path / out / "dispersal.csv").read_bytes())
         assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("cfg", [DISC_CFG, DISP_CFG], ids=lambda c: c["experiment"])
+    def test_unplotted_rerun_removes_earlier_chart(self, runner, tmp_path, cfg):
+        # the first run's chart stayed beside the second run's CSV, unlisted
+        command, out = cfg["experiment"], tmp_path / "o"
+        assert run(runner, tmp_path, cfg, "-s", "plot=true").exit_code == 0
+        assert (out / f"{command}.svg").is_file()
+        result = run(runner, tmp_path, cfg, "-s", "plot=false", "-s", "steps_max=300")
+        assert result.exit_code == 0, result.output
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == [f"{command}.csv", f"{command}_runs.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
 
 
 class TestSandboxCommand:
     def test_identity_check_pass(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", SAND_CFG)
-        result = runner.invoke(
-            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, SAND_CFG)
         assert result.exit_code == 0, result.output
         assert "identity check PASS" in result.output
         trace = (tmp_path / "o" / "sandbox_trace.csv").read_text().splitlines()
@@ -386,22 +354,14 @@ class TestSandboxCommand:
 
     def test_failed_identity_check_writes_nothing(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr("kincoop.cli.replication_identity_error", lambda trace: 1.0)
-        write_cfg(tmp_path / "c.yaml", SAND_CFG)
-        result = runner.invoke(
-            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, SAND_CFG)
         assert result.exit_code == 1
         assert "identity check FAIL" in result.output
         assert list((tmp_path / "o").glob("sandbox_*.csv")) == []
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_zero_steps_empty_files(self, runner, tmp_path):
-        cfg = dict(SAND_CFG)
-        cfg["steps"] = 0
-        write_cfg(tmp_path / "c.yaml", cfg)
-        result = runner.invoke(
-            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, {**SAND_CFG, "steps": 0})
         assert result.exit_code == 0
         assert (tmp_path / "o" / "sandbox_trace.csv").read_text().splitlines() == [
             "t,agent_id,genotype,health,event"
@@ -411,18 +371,7 @@ class TestSandboxCommand:
         ]
 
     def test_invalid_mutation_probability(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", SAND_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "sandbox",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "mutation.mu=1.5",
-            ],
-        )
+        result = run(runner, tmp_path, SAND_CFG, "-s", "mutation.mu=1.5")
         assert result.exit_code == 2
         assert "mutation" in result.output
 
@@ -436,10 +385,7 @@ class TestSandboxCommand:
             "initial_health": 12.0,
             "food_rate": 6,
         }
-        write_cfg(tmp_path / "c.yaml", cfg)
-        result = runner.invoke(
-            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, cfg)
         assert result.exit_code == 0
         assert "identity check PASS" in result.output
 
@@ -452,12 +398,8 @@ class TestSandboxCommand:
         assert "--jobs" not in result.output
 
     def test_q_policy_config(self, runner, tmp_path):
-        cfg = dict(SAND_CFG)
-        cfg["policy"] = {"kind": "q", "reward": "longevity", "decay": 0.99}
-        write_cfg(tmp_path / "c.yaml", cfg)
-        result = runner.invoke(
-            main, ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        cfg = {**SAND_CFG, "policy": {"kind": "q", "reward": "longevity", "decay": 0.99}}
+        result = run(runner, tmp_path, cfg)
         assert result.exit_code == 0, result.output
 
 
@@ -493,10 +435,8 @@ class TestAtomicWrites:
         assert atomic.stat().st_mode == plain.stat().st_mode
 
     def test_failed_csv_write_keeps_earlier_outputs(self, runner, tmp_path, monkeypatch):
-        write_cfg(tmp_path / "c.yaml", SAND_CFG)
         out = tmp_path / "o"
-        args = ["sandbox", str(tmp_path / "c.yaml"), "--out-dir", str(out)]
-        assert runner.invoke(main, args).exit_code == 0
+        assert run(runner, tmp_path, SAND_CFG).exit_code == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
 
         def write_then_fail(trace, handle):
@@ -504,7 +444,7 @@ class TestAtomicWrites:
             raise OSError("disk full")
 
         monkeypatch.setattr("kincoop.cli.write_rewards_csv", write_then_fail)
-        assert runner.invoke(main, args).exit_code != 0
+        assert run(runner, tmp_path, SAND_CFG).exit_code != 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_failed_chart_leaves_no_svg(self, runner, tmp_path, monkeypatch):
@@ -512,10 +452,7 @@ class TestAtomicWrites:
             raise RuntimeError("chart failed")
 
         monkeypatch.setattr("kincoop.cli.line_chart", fail)
-        write_cfg(tmp_path / "c.yaml", {**DISP_CFG, "plot": True})
-        result = runner.invoke(
-            main, ["dispersal", str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, {**DISP_CFG, "plot": True})
         assert result.exit_code != 0
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
             "dispersal.csv", "dispersal_runs.json"
@@ -524,29 +461,13 @@ class TestAtomicWrites:
 
 class TestOverrides:
     def test_dotted_override(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
-        result = runner.invoke(
-            main,
-            [
-                "discrimination",
-                str(tmp_path / "c.yaml"),
-                "--out-dir",
-                str(tmp_path / "o"),
-                "-s",
-                "dilemma.benefits=[2.5]",
-            ],
-        )
+        result = run(runner, tmp_path, DISC_CFG, "-s", "dilemma.benefits=[2.5]")
         assert result.exit_code == 0
         rows = (tmp_path / "o" / "discrimination.csv").read_text().splitlines()[1:]
         assert all(row.startswith("0.4,") for row in rows)
 
     def test_malformed_override(self, runner, tmp_path):
-        write_cfg(tmp_path / "c.yaml", DISC_CFG)
-        result = runner.invoke(
-            main,
-            ["discrimination", str(tmp_path / "c.yaml"), "-s", "justakey"],
-        )
-        assert result.exit_code == 2
+        assert run(runner, tmp_path, DISC_CFG, "-s", "justakey").exit_code == 2
 
 
 class TestRejectedSweeps:
@@ -566,19 +487,17 @@ class TestRejectedSweeps:
             (DISP_CFG, ["-s", "dilemma.b_over_c=[8,8]"], "dilemma.b_over_c"),
             (DISP_CFG, ["-s", "modes=[baseline,baseline]"], "modes"),
             # was read as "all cores"
-            (DISC_CFG, ["--jobs", "-3"], "jobs"),
+            (DISC_CFG, ["--jobs", "-1"], "Invalid value for '--jobs'"),
+            (DISP_CFG, ["--jobs", "-1"], "Invalid value for '--jobs'"),
         ],
-        ids=["seeds", "benefits", "c-over-b", "etas", "b-over-c", "modes", "negative-jobs"],
+        ids=["seeds", "benefits", "c-over-b", "etas", "b-over-c", "modes", "negative-jobs",
+             "negative-jobs-dispersal"],
     )
     def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, key):
-        write_cfg(tmp_path / "c.yaml", cfg)
-        out = tmp_path / "o"
-        result = runner.invoke(
-            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(out), *args]
-        )
+        result = run(runner, tmp_path, cfg, *args)
         assert result.exit_code == 2, result.output
         assert key in result.output
-        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 class TestRejectedRunValues:
@@ -593,9 +512,9 @@ class TestRejectedRunValues:
             (SAND_CFG, ["-s", "seed=-1"], "seed: expected a non-negative integer, got -1"),
             (DISP_CFG, ["-s", "seeds=[-1]"], "seeds[0]: expected a non-negative integer, got -1"),
             (DISC_CFG, ["-s", "seeds=[2,-1]"], "seeds[1]: expected a non-negative integer, got -1"),
-            # TypeError from Path(3)
-            (SAND_CFG, ["-s", "out_dir=3"], "out_dir: expected a directory path, got 3"),
-            (DISP_CFG, ["-s", "out_dir=[a]"], "out_dir: expected a directory path, got ['a']"),
+            # the output directory is --out-dir alone, not a config key
+            (SAND_CFG, ["-s", "out_dir=3"], f"unknown config key 'out_dir' ({SAND_KNOWN})"),
+            (DISP_CFG, ["-s", "out_dir=[a]"], f"unknown config key 'out_dir' ({DISP_KNOWN})"),
             # ran discrimination but recorded the hash of a dispersal config
             (DISC_CFG, ["-s", "experiment=dispersal"],
              "experiment: an override cannot change the experiment from 'discrimination' "
@@ -605,14 +524,10 @@ class TestRejectedRunValues:
              "dispersal-out-dir", "experiment"],
     )
     def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, message):
-        write_cfg(tmp_path / "c.yaml", cfg)
-        out = tmp_path / "o"
-        result = runner.invoke(
-            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(out), *args]
-        )
+        result = run(runner, tmp_path, cfg, *args)
         assert result.exit_code == 2, result.output
         assert result.output.strip().splitlines()[-1] == f"Error: {message}"
-        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
     def test_override_naming_the_same_experiment_passes(self, runner):
         result = runner.invoke(
@@ -723,7 +638,7 @@ VALIDATE_TABLE = [
     ('discrimination.yaml', 'seeds=[]', 2, 'Error: seeds: expected a non-empty list of integers'),
     ('discrimination.yaml', 'seeds=[1,-1]', 2,
      'Error: seeds[1]: expected a non-negative integer, got -1'),
-    ('discrimination.yaml', 'out_dir=3', 2, 'Error: out_dir: expected a directory path, got 3'),
+    ('discrimination.yaml', 'out_dir=3', 2, f"Error: unknown config key 'out_dir' ({DISC_KNOWN})"),
     ('discrimination.yaml', 'steps_max=x', 2, "Error: steps_max: expected an integer, got 'x'"),
     ('discrimination.yaml', 'steps_max=0', 2,
      'Error: steps_max: expected an integer above window (200), got 0'),
@@ -764,9 +679,8 @@ VALIDATE_TABLE = [
      'Error: learner: epsilon_min must be in [0, epsilon0]'),
     ('discrimination.yaml', 'learner.q_init=x', 2,
      "Error: learner.q_init: expected a number, got 'x'"),
-    ('discrimination.yaml', 'jobs=x', 2, "Error: jobs: expected an integer, got 'x'"),
-    ('discrimination.yaml', 'jobs=-1', 2,
-     'Error: jobs: expected 0 (all cores) or a positive count, got -1'),
+    ('discrimination.yaml', 'jobs=x', 2, f"Error: unknown config key 'jobs' ({DISC_KNOWN})"),
+    ('discrimination.yaml', 'jobs=-1', 2, f"Error: unknown config key 'jobs' ({DISC_KNOWN})"),
     ('discrimination.yaml', 'plot=x', 2, "Error: plot: expected true/false, got 'x'"),
     ('dispersal.yaml', 'genotype.loci=21', 2,
      'Error: genotype: variants^loci = 2^21 exceeds the 1048576 genotypes that can be enumerated'),
@@ -806,9 +720,12 @@ VALIDATE_TABLE = [
     ('dispersal.yaml', 'modes=[other]', 2,
      "Error: modes: entries must be 'inclusive' or 'baseline', got 'other'"),
     ('dispersal.yaml', 'edge_sampling=x', 2, "Error: edge_sampling: expected true/false, got 'x'"),
+    # where a run writes and on how many workers are --out-dir and --jobs alone
+    ('dispersal.yaml', 'out_dir=x', 2, f"Error: unknown config key 'out_dir' ({DISP_KNOWN})"),
+    ('dispersal.yaml', 'jobs=2', 2, f"Error: unknown config key 'jobs' ({DISP_KNOWN})"),
     ('sandbox.yaml', 'seed=x', 2, "Error: seed: expected an integer, got 'x'"),
     ('sandbox.yaml', 'seed=-1', 2, 'Error: seed: expected a non-negative integer, got -1'),
-    ('sandbox.yaml', 'out_dir=3', 2, 'Error: out_dir: expected a directory path, got 3'),
+    ('sandbox.yaml', 'out_dir=3', 2, f"Error: unknown config key 'out_dir' ({SAND_KNOWN})"),
     ('sandbox.yaml', 'steps=x', 2, "Error: steps: expected an integer, got 'x'"),
     ('sandbox.yaml', 'steps=-1', 2, 'Error: steps must be >= 0'),
     ('sandbox.yaml', 'genotype.loci=x', 2, "Error: genotype.loci: expected an integer, got 'x'"),
@@ -1006,10 +923,7 @@ class TestProbedNames:
         calls = dict.fromkeys(self.NAMES, 0)
         for name in self.NAMES:
             monkeypatch.setattr(kincoop.cli, name, counting(calls, name, getattr(kincoop.cli, name)))
-        write_cfg(tmp_path / "c.yaml", {**cfg, "seeds": [1], "plot": True})
-        result = runner.invoke(
-            main, [cfg["experiment"], str(tmp_path / "c.yaml"), "--out-dir", str(tmp_path / "o")]
-        )
+        result = run(runner, tmp_path, {**cfg, "seeds": [1], "plot": True})
         assert result.exit_code == 0, result.output
         other = "dispersal" if cfg["experiment"] == "discrimination" else "discrimination"
         assert calls == {
