@@ -112,13 +112,25 @@ def main():
     """Cooperation experiments for kin-related independent learners."""
 
 
-def _load(config_file: Path, experiment: str, overrides) -> dict:
-    """Load a config file of ``experiment`` and resolve it."""
+def _plan(experiment: str, resolved: dict):
+    """The plan of a resolved ``experiment`` config. The table is built at
+    call time, so each call reaches the builder that the name holds then,
+    as perfbench's probes need."""
+    builders = {
+        "discrimination": build_discrimination_plan,
+        "dispersal": build_dispersal_plan,
+        "sandbox": build_sandbox_plan,
+    }
+    return builders[experiment](resolved)
+
+
+def _load(config_file: Path, experiment: str, overrides):
+    """Load a config file of ``experiment``, resolve it and build its plan."""
     data = load_config_file(config_file)
     data.setdefault("experiment", experiment)
     if data["experiment"] != experiment:
         raise ConfigError(f"{config_file}: config declares experiment {data['experiment']!r}")
-    return resolve_config(data, overrides)
+    return _plan(experiment, resolve_config(data, overrides))
 
 
 def _sweep(plan: SweepPlan, jobs: int, table: Callable[[dict], Mapping], labels: tuple[str, ...]):
@@ -177,7 +189,7 @@ def _write_sweep(
 def discrimination(config_file, overrides, out, jobs):
     """Opponent-discrimination experiment on a complete network."""
     started = _timestamp()
-    plan = build_discrimination_plan(_load(config_file, "discrimination", overrides))
+    plan = _load(config_file, "discrimination", overrides)
     out.mkdir(parents=True, exist_ok=True)
     rows, run_meta = _sweep(plan, jobs, lambda payload: payload["bins"], ("c_over_b",))
     _write_sweep(
@@ -209,7 +221,7 @@ def discrimination(config_file, overrides, out, jobs):
 def dispersal(config_file, overrides, out, jobs):
     """Limited-dispersal experiment on random partition networks."""
     started = _timestamp()
-    plan = build_dispersal_plan(_load(config_file, "dispersal", overrides))
+    plan = _load(config_file, "dispersal", overrides)
     out.mkdir(parents=True, exist_ok=True)
     rows, run_meta = _sweep(
         plan, jobs, lambda payload: {"p": payload["proportion"]}, ("eta", "b_over_c", "inclusive")
@@ -250,7 +262,7 @@ IDENTITY_TOLERANCE = 1e-9
 def sandbox(config_file, overrides, out):
     """Birth/death sandbox generating population-reward traces."""
     started = _timestamp()
-    plan = build_sandbox_plan(_load(config_file, "sandbox", overrides))
+    plan = _load(config_file, "sandbox", overrides)
     out.mkdir(parents=True, exist_ok=True)
 
     trace = run_sandbox(plan.sandbox, np.random.default_rng(plan.seed))
@@ -284,12 +296,7 @@ def validate(config_file, overrides):
     if kind is None:
         raise ConfigError(f"{config_file}: missing required key 'experiment'")
     resolved = resolve_config(data, overrides)
-    if kind == "discrimination":
-        build_discrimination_plan(resolved)
-    elif kind == "dispersal":
-        build_dispersal_plan(resolved)
-    elif kind == "sandbox":
-        build_sandbox_plan(resolved)
+    _plan(kind, resolved)
     click.echo(f"OK: valid {kind} configuration (hash {config_hash(resolved)[:12]})")
 
 

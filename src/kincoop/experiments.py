@@ -4,10 +4,12 @@ aggregation.
 Both experiments run one learning kernel, ``_learn``: independent myopic
 epsilon-greedy Q-learners with fair random tie-breaking, one per cell of a
 boolean state mask, with one convergence rule (greedy policy unchanged for
-a full window, epsilon at its floor). It selects with ``np.where``, not with
-masked copies that branch on random masks, and takes greedy snapshots from
-a window before epsilon's floor. The two runners are thin wrappers that
-supply what differs:
+a full window, epsilon at its floor). It picks actions with bitwise
+operations and moves values through one index into an array of each cell's
+value pair, never with a select or a masked copy on a random mask, whose
+branch mispredictions cost more than the arithmetic. It takes greedy
+snapshots from a window before epsilon's floor. The two runners are thin
+wrappers that supply what differs:
 
 - ``run_discrimination``: a complete network, an N x N state mask (one
   state per opponent; the diagonal is the self state, masked out without
@@ -69,6 +71,7 @@ throughout its window, so its mean is (snapshot + 1) / 2.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -87,10 +90,11 @@ from .networks import (
 )
 from .pairsum import PairwiseRowSum, row_slots
 
-# Per (agent, opponent) cell a complete-network run keeps two float64 value
-# tables, one int64 window count and one step's work arrays, whatever the
-# window: 153 MiB peak RSS at 1024 agents. The limit bounds time instead: 0.06 s
-# a step there on a 2-vCPU host, so a 3000-step run takes about 3 minutes.
+# Per (agent, opponent) cell a complete-network run keeps a pair of float64
+# values, an int32 slot, one int64 window count and one step's work arrays,
+# whatever the window: 146 MiB peak RSS at 1024 agents. The limit bounds time
+# instead: 0.04 s a step there on a 2-vCPU host, so a 3000-step run takes
+# about 2 minutes.
 MAX_DISCRIMINATION_AGENTS = 1024
 
 # A dense dispersal point sums its rewards over N * pairsum.row_slots(N), about
@@ -198,6 +202,19 @@ class _Learned(NamedTuple):
     q_values: np.ndarray
 
 
+def _coins(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """``rng.integers(0, 2, (2,) + shape).astype(bool)`` from raw bits.
+
+    For a range of 2, ``integers`` takes the top bit of each 32-bit half of
+    ``prod(shape)`` raw 64-bit outputs, low half first, and leaves no half
+    buffered: the count of halves is even, and none is buffered before it,
+    as every other draw of the network paths is ``rng.random``, which uses
+    whole outputs. The little-endian view keeps that order on any host.
+    """
+    raw = rng.bit_generator.random_raw(math.prod(shape))
+    return (raw.astype("<u8", copy=False).view("<u4") >= 1 << 31).reshape((2,) + shape)
+
+
 def _learn(
     config: ExperimentConfig,
     active: np.ndarray,
@@ -213,22 +230,31 @@ def _learn(
     coin tie-breaks, then ``reward_fn`` maps the (points, *cells) bool actions
     (True = defect) to each cell's reward (it may draw more numbers from
     ``rng``), and the taken action's value moves toward it wherever
-    ``active``, all selected by ``np.where`` bar the sparse tie mask. A point
-    stops at the first step with epsilon at its floor and its greedy policy
-    unchanged for a full window; the loop ends when every point has stopped.
-    Snapshots start a window before the first floor step or at the final
-    window, so the stable-step counter is exact wherever the rule reads it.
+    ``active``. The values sit in one flat buffer, each cell's pair side by
+    side, and one index, a static slot plus the action, reads and writes
+    the taken action's value. An inactive cell's slot is the spare pair at
+    the buffer's end, so no mask touches the values. A point stops at the
+    first step with epsilon at its floor and its greedy policy unchanged for
+    a full window; the loop ends when every point has stopped. Snapshots
+    start a window before the first floor step or at the final window, so
+    the stable-step counter is exact wherever the rule reads it.
     """
     learner = resolve_decay(config.learner, config.steps_max)
     epsilons = [epsilon_at(learner, t) for t in range(config.steps_max)]
     floor_steps = (t for t, eps in enumerate(epsilons) if eps <= learner.epsilon_min)
     watch_from = max(0, next(floor_steps, config.steps_max - 1) + 1 - config.window)
     points, shape = active.shape[0], active.shape[1:]
-    q_c = np.full(active.shape, learner.q_init, dtype=float)  # value of cooperating
-    q_d = q_c.copy()  # value of defecting
-    gap = q_c - q_d
+    # q[..., 0] is the value of cooperating, q[..., 1] of defecting; the two
+    # spare slots after q take the updates of inactive cells.
+    values = np.full(2 * active.size + 2, learner.q_init)
+    q = values[:-2].reshape(active.shape + (2,))
+    spare = 2 * active.size
+    index_type = np.int32 if spare + 1 <= np.iinfo(np.int32).max else np.intp
+    slot = np.arange(0, spare, 2, dtype=index_type).reshape(active.shape)
+    np.copyto(slot, spare, where=~active)
+    gap = q[..., 0] - q[..., 1]
 
-    greedy = np.empty(active.shape, dtype=bool)  # True = defect
+    defect = np.empty(active.shape, dtype=bool)
     # Sum of snapshot + 1 over the final window; int64 holds its 2 * window exactly.
     coop_count = np.zeros(active.shape, dtype=np.int64)
     prev_greedy = np.zeros(active.shape, dtype=np.int8)
@@ -236,29 +262,29 @@ def _learn(
     learned: list[Optional[_Learned]] = [None] * points
 
     def finish(p: int, freq: np.ndarray, steps_run: int, converged_at: Optional[int]) -> _Learned:
-        q = np.stack([q_c[p], q_d[p]], axis=-1)
-        return _Learned(freq, prev_greedy[p], converged_at, steps_run, q)
+        return _Learned(freq, prev_greedy[p], converged_at, steps_run, q[p].copy())
 
     for t, eps in enumerate(epsilons):
         explore = rng.random(shape) < eps
-        # the random actions, then the tie coins: the stream of two such calls
-        random_acts, tie_coins = rng.integers(0, 2, size=(2,) + shape).astype(bool)
+        random_acts, tie_coins = _coins(rng, shape)
 
-        # greedy action with a coin on exact ties, unless exploring
-        np.less(gap, 0, out=greedy)
-        np.copyto(greedy, tie_coins, where=gap == 0)
-        defect = np.where(explore, random_acts, greedy)
+        # greedy action with a coin on exact ties (where gap < 0 is False),
+        # unless exploring
+        np.less(gap, 0, out=defect)
+        defect |= (gap == 0) & tie_coins
+        defect &= ~explore
+        defect |= random_acts & explore
         reward = reward_fn(defect)
 
-        q_new = q_update(np.where(defect, q_d, q_c), reward, learner.alpha)
-        update_d = active & defect
-        q_d = np.where(update_d, q_new, q_d)
-        q_c = np.where(active ^ update_d, q_new, q_c)
+        # numpy indexes with an intp array about twice as fast as with the
+        # int32 slot, which saves 4 bytes a cell for the whole run
+        taken = (slot + defect).astype(np.intp)
+        values[taken] = q_update(np.take(values, taken), reward, learner.alpha)
 
-        np.subtract(q_c, q_d, out=gap)
+        np.subtract(q[..., 0], q[..., 1], out=gap)
         if t < watch_from:
             continue
-        snapshot = np.sign(gap).astype(np.int8)  # 0 where inactive: q_c == q_d == q_init there
+        snapshot = np.sign(gap).astype(np.int8)  # 0 where inactive: both values stay q_init
         if t >= config.steps_max - config.window:
             coop_count += snapshot + 1
         same = (snapshot == prev_greedy).reshape(points, -1).all(axis=1)

@@ -223,6 +223,24 @@ def sparse_network():
     return build_partition_network_with_probs(8, genotypes, 0.15, 0.01, np.random.default_rng(7))
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (64,), (3, 5), (64, 64)])
+def test_coins_match_integers(shape):
+    # each step draws rng.random blocks around the coins, as the kernel does
+    got, want = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        assert np.array_equal(got.random(shape), want.random(shape))
+        coins = experiments._coins(got, shape)
+        assert coins.dtype == bool
+        assert np.array_equal(coins, want.integers(0, 2, (2,) + shape).astype(bool))
+    # The same state; ``uinteger`` is a spent half-word, read only while
+    # ``has_uint32`` is set.
+    got_state, want_state = got.bit_generator.state, want.bit_generator.state
+    assert want_state["has_uint32"] == got_state["has_uint32"] == 0
+    assert got_state["state"] == want_state["state"]
+    assert np.array_equal(got.integers(0, 2, 5), want.integers(0, 2, 5))
+    assert np.array_equal(got.random(5), want.random(5))
+
+
 class TestKernelOracle:
     """``_learn`` against ``reference_learn``, bit for bit, wherever the
     watch step can fall: the snapshots before it are never taken, so only
@@ -243,6 +261,11 @@ class TestKernelOracle:
         "no-self-play": (_run_discrimination_group, small_discrimination, dict(self_play=False)),
         "isolated-nodes": (_run_dispersal_group, small_dispersal, dict()),
         "isolated-nodes-edge-sampling": (_run_dispersal_group, small_dispersal, dict(edge_sampling=True)),
+        # 9 agents, 81 cells: each coin block ends halfway through a raw output
+        "odd-cells-self-play": (_run_discrimination_group, small_discrimination, dict(space=GenotypeSpace(2, 3))),
+        "odd-cells-no-self-play": (
+            _run_discrimination_group, small_discrimination, dict(space=GenotypeSpace(2, 3), self_play=False),
+        ),
     }
     POINTS = {
         1: ((4.0, True),),
@@ -284,7 +307,7 @@ class TestKernelOracle:
         }[floor]
         mask = got[0].state_mask
         inactive = got[0].isolated_count if mask is None else np.count_nonzero(~mask)
-        assert (inactive > 0) == (setup != "self-play")
+        assert (inactive > 0) == (cfg.kind == "dispersal" or not cfg.self_play)
         for res, ref in zip(got, want):
             assert_same_result(res, ref)
 
