@@ -276,8 +276,8 @@ def _learn(
         defect |= random_acts & explore
         reward = reward_fn(defect)
 
-        # numpy indexes with an intp array about twice as fast as with the
-        # int32 slot, which saves 4 bytes a cell for the whole run
+        # an intp index reads and writes about twice as fast as an int32 one;
+        # the slot stays int32 to keep 4 bytes a cell off the run's peak
         taken = (slot + defect).astype(np.intp)
         values[taken] = q_update(np.take(values, taken), reward, learner.alpha)
 
