@@ -17,6 +17,8 @@ moved to one table.
 The floor-from-start cases (epsilon at its floor from step 0) and the
 early stop without self-play were recorded before the kernel took greedy
 snapshots only from the first step whose snapshot the stop rule can read.
+The sandbox's idle, always and threshold cases were recorded before the
+idle and always policies became thresholds at +inf and -inf.
 A refactor that changes any output byte fails here even when every
 behavioural test still passes.
 """
@@ -74,20 +76,18 @@ TWO_SEEDS_JOBS2 = ["-s", "seeds=[1,2]", "--jobs", "2"]
 NODES_135 = [
     "-s", "genotype.loci=2", "-s", "genotype.variants=3", "-s", "partition.community_size=15",
 ]
-SANDBOX_Q = [
-    "sandbox", str(CONFIGS / "sandbox.yaml"),
-    "-s", "policy.kind=q", "-s", "policy.alpha=0.5", "-s", "policy.q_init=0.3",
-]
+SANDBOX = ["sandbox", str(CONFIGS / "sandbox.yaml")]
+SANDBOX_Q = [*SANDBOX, "-s", "policy.kind=q", "-s", "policy.alpha=0.5", "-s", "policy.q_init=0.3"]
 
 CASES = {
-    "sandbox-shipped": (["sandbox", str(CONFIGS / "sandbox.yaml")], {
+    "sandbox-shipped": (SANDBOX, {
         "sandbox_rewards.csv": "7c687ef67c5074cc04ec9d48a9d6a848991629fbc7f964ea1b26eb6a23f6f7e1",
         "sandbox_trace.csv": "934cd5c8354dc8a46d3c303aaa3c832e72492a608d49b7bf7bae1217db7cbefb",
     }),
     # Q policy on the combined reward: every reward it learns from goes
     # back into its action choices, so a one-ulp change moves the trace
     "sandbox-q-combined": ([
-        "sandbox", str(CONFIGS / "sandbox.yaml"),
+        *SANDBOX,
         "-s", "genotype.loci=6", "-s", "initial_genotype=null", "-s", "mutation.mu=0.1",
         "-s", "food_rate=60", "-s", "steps=150",
         "-s", "policy.kind=q", "-s", "policy.reward=combined",
@@ -104,6 +104,19 @@ CASES = {
     "sandbox-q-longevity": ([*SANDBOX_Q, "-s", "policy.reward=longevity"], {
         "sandbox_rewards.csv": "742517052d8b71bf8cc05d64956eb33f6301036a6aadaa8b14e8876282b3b476",
         "sandbox_trace.csv": "40a888fb4822e3ab36f55adb73bcd95a3cd0fb126fca7cc61794ee0dba4a7d06",
+    }),
+    # the rule-based kinds that the shipped config (random) does not run
+    "sandbox-idle": ([*SANDBOX, "-s", "policy.kind=idle"], {
+        "sandbox_rewards.csv": "33a62a126a9a139ea3922d4cedd87a2b053bc0de65bffb0a051b591061544e33",
+        "sandbox_trace.csv": "ada74bc1e4e53fda18b108017fa1f5afed16a32dd81faa0a9b25d4369888c4a7",
+    }),
+    "sandbox-always": ([*SANDBOX, "-s", "policy.kind=always"], {
+        "sandbox_rewards.csv": "0fd3ba64ded56cf0ac224702aa7dff288d4539a3f2dde98405448bcbf3b51d52",
+        "sandbox_trace.csv": "dd6944802459a17dc0bfd8c5661b65c711680c78f2ef6837039064ccb1b88b75",
+    }),
+    "sandbox-threshold": ([*SANDBOX, "-s", "policy.kind=threshold"], {
+        "sandbox_rewards.csv": "36c3751a8fb040d8c4b91f3e5cc513f0e442dfaaff72f1cc33b21a262daa8553",
+        "sandbox_trace.csv": "62cf00fc5814c6407794b898549edde1dce80ca5500bc826b7887bc6ea8b7c53",
     }),
     "discrimination-small": (DISCRIMINATION_SMALL, {
         "discrimination.csv": "83b49a009d1f0f5d8ff74c5b07ecd85517183e92cc5989d1518f57b3b5cdb4a2",
