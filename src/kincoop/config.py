@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,8 +31,6 @@ from .genotype import GenotypeSpace, MutationSpec, parse_genotype
 from .learning import LearnerConfig
 from .networks import InfeasiblePartitionError, PartitionSpec
 from .popreward import (
-    AlwaysReproducePolicy,
-    IdlePolicy,
     QReproductionPolicy,
     RandomPolicy,
     ReproductionPolicy,
@@ -44,17 +42,6 @@ from .popreward import (
 class ConfigError(Exception):
     """A config file or override that cannot be used, with a precise path."""
 
-
-# alpha=1 makes each value track the action's latest observed reward; with
-# stale values (smaller alpha) epsilon-greedy pairs drift into mutual
-# cooperation below the relatedness threshold and the threshold blurs
-_LEARNER_DEFAULTS = {
-    "alpha": 1.0,
-    "epsilon0": 1.0,
-    "decay": None,
-    "epsilon_min": 0.001,
-    "q_init": 0.0,
-}
 
 DISCRIMINATION_DEFAULTS = {
     "experiment": "discrimination",
@@ -68,7 +55,7 @@ DISCRIMINATION_DEFAULTS = {
     # cost/benefit ratios 0.25, 0.4, 0.7: off the similarity lattice k/6,
     # so every lattice value is strictly above or below each threshold
     "dilemma": {"cost": 1.0, "benefits": [4.0, 2.5, 10.0 / 7.0]},
-    "learner": dict(_LEARNER_DEFAULTS),
+    "learner": asdict(LearnerConfig()),
 }
 
 DISPERSAL_DEFAULTS = {
@@ -82,7 +69,7 @@ DISPERSAL_DEFAULTS = {
     "genotype": {"loci": 3, "variants": 2},
     "partition": {"community_size": 8, "k_avg": 9.0, "etas": [0.05, 0.1, 0.5]},
     "dilemma": {"cost": 1.0, "b_over_c": [2.0, 4.0, 6.0, 8.0, 10.0, 12.0]},
-    "learner": dict(_LEARNER_DEFAULTS),
+    "learner": asdict(LearnerConfig()),
 }
 
 # Each reproduction policy kind's keys and defaults. A policy subtree may
@@ -353,15 +340,14 @@ def _shared_fields(resolved: dict) -> dict:
 
 
 def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]) -> SweepPlan:
-    """Build every point (a lazy ``points`` builds inside ``_naming``), check
-    that each can run before any does, and read the sweep-wide keys."""
+    """Build every point before any runs (a lazy ``points`` builds inside
+    ``_naming``): a point that cannot run fails as its ``ExperimentConfig``
+    is built. Then read the sweep-wide keys."""
     with _naming():
-        points = tuple(points)
-        for _, config in points:
-            try:
-                config.validate_feasible()
-            except InfeasiblePartitionError as exc:
-                raise ConfigError(f"partition.etas: {exc}") from exc
+        try:
+            points = tuple(points)
+        except InfeasiblePartitionError as exc:
+            raise ConfigError(f"partition.etas: {exc}") from exc
     return SweepPlan(
         points=points,
         seeds=_as_list(resolved["seeds"], "seeds", _as_seed),
@@ -454,7 +440,7 @@ def _build_policy(raw: dict) -> ReproductionPolicy:
             return RandomPolicy(values["p"])
         if kind == "threshold":
             return ThresholdPolicy(values["min_health"])
-    return IdlePolicy() if kind == "idle" else AlwaysReproducePolicy()
+    return ThresholdPolicy(math.inf if kind == "idle" else -math.inf)
 
 
 def build_sandbox_plan(resolved: dict) -> SandboxPlan:

@@ -107,7 +107,9 @@ KINDS = ("discrimination", "dispersal")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One parameter point of either network experiment."""
+    """One parameter point of either network experiment. Construction (and
+    ``dataclasses.replace``) raises ``ValueError`` for a point that cannot
+    run, so any config that exists can run."""
 
     kind: str
     space: GenotypeSpace
@@ -125,44 +127,40 @@ class ExperimentConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not self.steps_max > self.window > 0:
             raise ValueError("need steps_max > window > 0")
-        if self.kind == "dispersal":
-            if self.partition is None:
-                raise ValueError("dispersal experiments need a partition spec")
-            if self.partition.community_count != self.space.size:
-                raise ValueError(
-                    "need one community per genotype: "
-                    f"{self.partition.community_count} communities vs "
-                    f"{self.space.size} genotypes"
-                )
-
-    def validate_feasible(self) -> None:
-        """Raise before any simulation if the config cannot be run."""
         # before the size is formatted or made a float: it may have thousands of digits
         if self.space.size > MAX_ENUMERABLE:
             raise ValueError(
                 f"genotype: variants^loci = {self.space.variants}^{self.space.loci} "
                 f"exceeds the {MAX_ENUMERABLE} genotypes that can be enumerated"
             )
-        if self.kind == "dispersal":
-            spec = self.partition
-            if spec.node_count > MAX_DISPERSAL_NODES:
+        if self.kind == "discrimination":
+            if self.space.size > MAX_DISCRIMINATION_AGENTS:
                 raise ValueError(
-                    f"partition.community_size: {spec.community_size} x {spec.community_count} "
-                    f"communities = {spec.node_count} nodes exceeds the "
-                    f"{MAX_DISPERSAL_NODES}-node limit"
+                    f"genotype: complete network over {self.space.size} genotypes exceeds "
+                    f"the {MAX_DISCRIMINATION_AGENTS}-agent limit"
                 )
-            # no eta helps here: even p_in = p_out = 1 gives a mean degree of N - 1
-            if spec.k_avg > spec.node_count - 1:
-                raise ValueError(
-                    f"partition.k_avg: k_avg={spec.k_avg} exceeds N - 1 = {spec.node_count - 1}, "
-                    f"the mean degree of a complete network on {spec.node_count} nodes"
-                )
-            derive_partition_probs(spec)
-        elif self.space.size > MAX_DISCRIMINATION_AGENTS:
+            return
+        spec = self.partition
+        if spec is None:
+            raise ValueError("dispersal experiments need a partition spec")
+        if spec.community_count != self.space.size:
             raise ValueError(
-                f"genotype: complete network over {self.space.size} genotypes exceeds "
-                f"the {MAX_DISCRIMINATION_AGENTS}-agent limit"
+                "need one community per genotype: "
+                f"{spec.community_count} communities vs {self.space.size} genotypes"
             )
+        if spec.node_count > MAX_DISPERSAL_NODES:
+            raise ValueError(
+                f"partition.community_size: {spec.community_size} x {spec.community_count} "
+                f"communities = {spec.node_count} nodes exceeds the "
+                f"{MAX_DISPERSAL_NODES}-node limit"
+            )
+        # no eta helps here: even p_in = p_out = 1 gives a mean degree of N - 1
+        if spec.k_avg > spec.node_count - 1:
+            raise ValueError(
+                f"partition.k_avg: k_avg={spec.k_avg} exceeds N - 1 = {spec.node_count - 1}, "
+                f"the mean degree of a complete network on {spec.node_count} nodes"
+            )
+        derive_partition_probs(spec)
 
 
 @dataclass
@@ -452,7 +450,6 @@ def _run_discrimination_group(
     ``run_discrimination(configs[k], seed, ...)``."""
     _check_group(configs, "discrimination")
     config = configs[0]
-    config.validate_feasible()
     if genotypes is None:
         genotypes = enumerate_genotypes(config.space)
     n_agents = len(genotypes)
@@ -509,13 +506,10 @@ def _run_dispersal_group(
         nets = dict.fromkeys((c.partition for c in configs), network_override)
         rng = np.random.default_rng(seed)
     else:
-        by_partition = {c.partition: c for c in configs}
-        for config in by_partition.values():
-            config.validate_feasible()
         if genotypes is None:
             genotypes = enumerate_genotypes(configs[0].space)
         nets = {}
-        for partition in by_partition:
+        for partition in dict.fromkeys(c.partition for c in configs):
             rng = np.random.default_rng(seed)
             nets[partition] = build_partition_network(partition, genotypes, rng)
     n_points, n_agents = len(configs), nets[configs[0].partition].node_count

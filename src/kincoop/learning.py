@@ -19,6 +19,9 @@ class LearnerConfig:
     steps (see ``resolve_decay``).
     """
 
+    # alpha=1 makes each value track the action's latest observed reward; with
+    # stale values (smaller alpha) epsilon-greedy pairs drift into mutual
+    # cooperation below the relatedness threshold and the threshold blurs
     alpha: float = 1.0
     epsilon0: float = 1.0
     decay: float | None = None

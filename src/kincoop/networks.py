@@ -56,7 +56,7 @@ def derive_partition_probs(spec: PartitionSpec) -> tuple[float, float]:
     denom = (s - 1) + s * (m - 1) * spec.eta
     p_in = spec.k_avg / denom
     p_out = spec.eta * p_in
-    if p_in > 1.0 or p_out > 1.0:
+    if p_in > 1.0:  # p_out = eta * p_in <= p_in, as eta <= 1
         min_eta = (spec.k_avg - (s - 1)) / (s * (m - 1))
         raise InfeasiblePartitionError(
             f"eta={spec.eta} is infeasible for k_avg={spec.k_avg}: it requires "

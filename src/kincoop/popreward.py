@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -138,26 +139,6 @@ class ReproductionPolicy(Protocol):
     def feedback(self, agent_id: int, reproduced: bool, rewards: RewardTriple) -> None: ...
 
 
-class IdlePolicy:
-    """Never reproduces."""
-
-    def decide(self, agent, rng):
-        return False
-
-    def feedback(self, agent_id, reproduced, rewards):
-        pass
-
-
-class AlwaysReproducePolicy:
-    """Reproduces every step the health transfer is possible."""
-
-    def decide(self, agent, rng):
-        return True
-
-    def feedback(self, agent_id, reproduced, rewards):
-        pass
-
-
 class RandomPolicy:
     """Reproduces with a fixed per-step probability."""
 
@@ -174,7 +155,8 @@ class RandomPolicy:
 
 
 class ThresholdPolicy:
-    """Reproduces whenever health is at or above a threshold."""
+    """Reproduces whenever health is at or above a threshold. Health is
+    finite, so a threshold of +inf never reproduces and -inf always does."""
 
     def __init__(self, min_health: float):
         self.min_health = min_health
@@ -241,6 +223,8 @@ class SandboxConfig:
     def __post_init__(self):
         if self.initial_health <= 0:
             raise ValueError("initial_health must be > 0")
+        if not math.isfinite(self.initial_health):
+            raise ValueError(f"initial_health must be finite, got {self.initial_health}")
         if self.food_rate < 0:
             raise ValueError("food_rate must be >= 0")
         if self.steps < 0:
@@ -310,8 +294,6 @@ def run_sandbox(config: SandboxConfig, rng: np.random.Generator) -> PopulationTr
         rewards=[],
     )
     for t in range(1, config.steps + 1):
-        if not agents:
-            break
         living = list(agents.values())
         trace.pop_before.append(len(living))
 

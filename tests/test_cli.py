@@ -250,14 +250,6 @@ class TestDiscriminationCommand:
             hashes.append(json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
 
-    def test_parallel_matches_serial(self, runner, tmp_path):
-        for out, jobs in (("ser", "1"), ("par", "2")):
-            result = run(runner, tmp_path, DISC_CFG, "--jobs", jobs, out=out)
-            assert result.exit_code == 0, result.output
-        assert (tmp_path / "ser" / "discrimination.csv").read_bytes() == (
-            tmp_path / "par" / "discrimination.csv"
-        ).read_bytes()
-
     def test_plot_emitted_when_enabled(self, runner, tmp_path):
         result = run(runner, tmp_path, {**DISC_CFG, "plot": True})
         assert result.exit_code == 0

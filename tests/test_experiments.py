@@ -15,6 +15,7 @@ from kincoop.experiments import (
     ExperimentConfig,
     RunResult,
     SweepTask,
+    _group_key,
     _group_tasks,
     _pair_table,
     _run_discrimination_group,
@@ -69,6 +70,35 @@ def small_dispersal(**kwargs):
 
 SMALL = {"discrimination": small_discrimination, "dispersal": small_dispersal}
 
+# Each limit a config must meet to run: its kind, fields of a config that
+# meets it at or near its edge, fields past it, and the message. The
+# enumeration cap has no feasible edge (any network that large is past
+# another limit), so the small config stands in.
+FEASIBILITY_LIMITS = {
+    "enumeration-cap": (
+        "dispersal", {},
+        dict(space=GenotypeSpace(21, 2), partition=PartitionSpec(2, 2**21, 9.0, 0.1)),
+        "can be enumerated",
+    ),
+    "agents": (
+        "discrimination", dict(space=GenotypeSpace(10, 2)), dict(space=GenotypeSpace(11, 2)),
+        "1024-agent limit",
+    ),
+    "nodes": (
+        "dispersal", dict(partition=PartitionSpec(1024, 8, 9.0, 0.1)),
+        dict(partition=PartitionSpec(1025, 8, 9.0, 0.1)), "8192-node limit",
+    ),
+    "k_avg": (
+        "dispersal", dict(space=GenotypeSpace(1, 2), partition=PartitionSpec(2, 2, 3.0, 1.0)),
+        dict(space=GenotypeSpace(1, 2), partition=PartitionSpec(2, 2, 3.5, 1.0)),
+        "exceeds N - 1",
+    ),
+    "eta": (
+        "dispersal", dict(partition=PartitionSpec(8, 8, 9.0, 0.04)),
+        dict(partition=PartitionSpec(8, 8, 9.0, 0.01)), "is infeasible",
+    ),
+}
+
 
 def assert_same_result(got: RunResult, want: RunResult) -> None:
     """Every field equal, arrays bit for bit with their dtypes."""
@@ -114,9 +144,19 @@ class TestConfigValidation:
             small_dispersal(partition=PartitionSpec(8, 4, 5.0, 0.1))
 
     def test_infeasible_partition_raised_before_run(self):
-        cfg = small_dispersal(partition=PartitionSpec(8, 8, 9.0, 0.01))
         with pytest.raises(InfeasiblePartitionError):
-            run_dispersal(cfg, 0)
+            small_dispersal(partition=PartitionSpec(8, 8, 9.0, 0.01))
+
+    @pytest.mark.parametrize("limit", sorted(FEASIBILITY_LIMITS))
+    def test_config_past_a_limit_cannot_be_built(self, limit):
+        kind, inside, past, message = FEASIBILITY_LIMITS[limit]
+        with pytest.raises(ValueError, match=message):
+            SMALL[kind](**past)
+        feasible = SMALL[kind](**inside)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(feasible, **past)
+        # the key sets eta and k_avg to 1.0, which every node layout meets
+        assert _group_key(feasible).dilemma is None
 
 
 class TestConvergence:

@@ -1,4 +1,5 @@
 import io
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,6 @@ from kincoop import popreward
 from kincoop.genotype import GenotypeSpace, MutationSpec, hamming_similarity
 from kincoop.learning import LearnerConfig
 from kincoop.popreward import (
-    AlwaysReproducePolicy,
-    IdlePolicy,
     PopulationState,
     QReproductionPolicy,
     RandomPolicy,
@@ -120,7 +119,7 @@ class TestSandbox:
             initial_health=5.0,
             food_rate=0,
             steps=50,
-            policy=IdlePolicy(),
+            policy=ThresholdPolicy(math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         assert trace.extinct_at == 5
@@ -137,7 +136,7 @@ class TestSandbox:
             initial_health=12.0,
             food_rate=6,
             steps=60,
-            policy=AlwaysReproducePolicy(),
+            policy=ThresholdPolicy(-math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(1))
         assert trace.extinct_at is None
@@ -158,7 +157,7 @@ class TestSandbox:
             initial_health=8.0,
             food_rate=0,
             steps=1,
-            policy=AlwaysReproducePolicy(),
+            policy=ThresholdPolicy(-math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         # parent decayed to 7, gave a quarter (1.75) to the child
@@ -174,7 +173,7 @@ class TestSandbox:
             initial_health=5.0,
             food_rate=1,
             steps=0,
-            policy=IdlePolicy(),
+            policy=ThresholdPolicy(math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         assert trace.steps == 0
@@ -190,7 +189,20 @@ class TestSandbox:
                 initial_health=5.0,
                 food_rate=1,
                 steps=10,
-                policy=IdlePolicy(),
+                policy=ThresholdPolicy(math.inf),
+            )
+
+    @pytest.mark.parametrize("health", [math.inf, math.nan])
+    def test_initial_health_must_be_finite(self, health):
+        with pytest.raises(ValueError, match="initial_health must be finite"):
+            SandboxConfig(
+                space=SPACE,
+                initial_genotype=ME,
+                mutation=MutationSpec(0.1),
+                initial_health=health,
+                food_rate=1,
+                steps=10,
+                policy=ThresholdPolicy(math.inf),
             )
 
     def test_health_capped_at_initial(self):
@@ -201,7 +213,7 @@ class TestSandbox:
             initial_health=3.0,
             food_rate=10,
             steps=20,
-            policy=IdlePolicy(),
+            policy=ThresholdPolicy(math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         assert all(h <= 3.0 for hs in trace.healths for h in hs)
@@ -603,7 +615,7 @@ class TestTraceExports:
             initial_health=5.0,
             food_rate=0,
             steps=50,
-            policy=IdlePolicy(),
+            policy=ThresholdPolicy(math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         buf = io.StringIO()
@@ -621,7 +633,7 @@ class TestTraceExports:
             initial_health=6.0,
             food_rate=2,
             steps=3,
-            policy=AlwaysReproducePolicy(),
+            policy=ThresholdPolicy(-math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         buf = io.StringIO()
@@ -638,7 +650,7 @@ class TestTraceExports:
             initial_health=5.0,
             food_rate=0,
             steps=0,
-            policy=IdlePolicy(),
+            policy=ThresholdPolicy(math.inf),
         )
         trace = run_sandbox(cfg, np.random.default_rng(0))
         t_buf, r_buf = io.StringIO(), io.StringIO()
