@@ -7,9 +7,14 @@ merged on top; they may not change ``experiment``. Unknown keys are
 rejected with their full path, as are a key given twice in one mapping
 and a value that is not a mapping where the defaults hold one. Under
 ``policy`` the keys of every policy kind are known and type-checked,
-though a policy reads only its own kind's keys. Every validation message
-names the offending key. Where a run writes and on how many workers are
-not keys: they are the CLI's ``--out-dir`` and ``--jobs``.
+though a policy reads only its own kind's keys. A key's type is its
+default's: a bool, an integer, a number or a list of numbers. Only the
+keys in ``_COERCERS`` say more: the non-negative ``seed`` and ``seeds``,
+``modes``, ``learner.decay`` (which may be null), the choice
+``policy.reward``, and three keys checked where they are read
+(``experiment``, ``initial_genotype``, ``policy.kind``). Every validation
+message names the offending key. Where a run writes and on how many
+workers are not keys: they are the CLI's ``--out-dir`` and ``--jobs``.
 """
 
 from __future__ import annotations
@@ -83,7 +88,9 @@ POLICY_DEFAULTS = {
     "q": {"reward": "combined", "alpha": 0.1, "epsilon0": 1.0, "decay": 0.995,
           "epsilon_min": 0.01, "q_init": 0.0},
 }
-_POLICY_KEYS = {"kind"}.union(*POLICY_DEFAULTS.values())
+# What a policy subtree may name, typed by its defaults: the kind and every kind's keys.
+_POLICY_SCHEMA = {"kind": "random",
+                  **{key: value for d in POLICY_DEFAULTS.values() for key, value in d.items()}}
 
 SANDBOX_DEFAULTS = {
     "experiment": "sandbox",
@@ -113,6 +120,8 @@ def load_config_file(path: Path) -> dict:
         node = loader.get_single_node()
         _reject_duplicate_keys(path, node)
         data = loader.construct_document(node) if node is not None else None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -177,7 +186,7 @@ def merge_with_defaults(user: dict, defaults: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
-        known = _POLICY_KEYS if path == "policy" else defaults
+        known = _POLICY_SCHEMA if path == "policy" else defaults
         if key not in known:
             raise ConfigError(f"unknown config key {where!r} (known: {', '.join(sorted(known))})")
         if not isinstance(defaults.get(key), dict):
@@ -191,7 +200,7 @@ def merge_with_defaults(user: dict, defaults: dict, path: str = "") -> dict:
 
 def resolve_config(data: dict, overrides: Sequence[str] = ()) -> dict:
     kind = data.get("experiment")
-    if kind not in DEFAULTS_BY_EXPERIMENT:
+    if kind not in tuple(DEFAULTS_BY_EXPERIMENT):  # a tuple: kind may be unhashable
         raise ConfigError(
             "config key 'experiment' must be one of "
             f"{sorted(DEFAULTS_BY_EXPERIMENT)}, got {kind!r}"
@@ -271,6 +280,40 @@ def _as_list(value, path: str, item=_as_float) -> tuple:
     return _distinct(tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value)), path)
 
 
+def _as_modes(value, path: str) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    for mode in value:
+        if mode not in ("inclusive", "baseline"):
+            raise ConfigError(f"{path}: entries must be 'inclusive' or 'baseline', got {mode!r}")
+    return _distinct(tuple(value), path)
+
+
+# A leaf is coerced by its default's type, except where its path is listed here.
+_BY_TYPE = {bool: _as_bool, int: _as_int, float: _as_float, list: _as_list}
+_COERCERS = {
+    **dict.fromkeys(("experiment", "initial_genotype", "policy.kind"), lambda value, path: value),
+    "seed": _as_seed,
+    "seeds": lambda value, path: _as_list(value, path, _as_seed),
+    "modes": _as_modes,
+    "learner.decay": lambda value, path: None if value is None else _as_float(value, path),
+    "policy.reward": _as_reward,
+}
+
+
+def _typed(tree: dict, defaults: dict, path: str = "") -> dict:
+    """Each leaf of a resolved ``tree``, by dotted path, coerced as its default says."""
+    known = _POLICY_SCHEMA if path == "policy" else defaults
+    typed = {}
+    for key, value in tree.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(known[key], dict):
+            typed.update(_typed(value, known[key], where))
+        else:
+            typed[where] = (_COERCERS.get(where) or _BY_TYPE[type(known[key])])(value, where)
+    return typed
+
+
 @contextmanager
 def _naming(key: str = ""):
     """Re-raise a library ``ValueError`` as a ``ConfigError`` that starts with ``key``."""
@@ -280,24 +323,15 @@ def _naming(key: str = ""):
         raise ConfigError(f"{key}: {exc}" if key else str(exc)) from exc
 
 
-def _build_space(data: dict) -> GenotypeSpace:
+def _build_space(typed: dict) -> GenotypeSpace:
     with _naming("genotype"):
-        return GenotypeSpace(
-            loci=_as_int(data["genotype"]["loci"], "genotype.loci"),
-            variants=_as_int(data["genotype"]["variants"], "genotype.variants"),
-        )
+        return GenotypeSpace(loci=typed["genotype.loci"], variants=typed["genotype.variants"])
 
 
-def _build_learner(raw: dict, path: str) -> LearnerConfig:
-    """The learner of ``learner.*``, or of a Q policy's checked ``policy.*``."""
+def _build_learner(typed: dict, path: str) -> LearnerConfig:
+    """The learner of ``learner.*``, or of a Q policy's ``policy.*``."""
     with _naming(path):
-        return LearnerConfig(
-            alpha=_as_float(raw["alpha"], f"{path}.alpha"),
-            epsilon0=_as_float(raw["epsilon0"], f"{path}.epsilon0"),
-            decay=None if raw["decay"] is None else _as_float(raw["decay"], f"{path}.decay"),
-            epsilon_min=_as_float(raw["epsilon_min"], f"{path}.epsilon_min"),
-            q_init=_as_float(raw["q_init"], f"{path}.q_init"),
-        )
+        return LearnerConfig(**{key: typed[f"{path}.{key}"] for key in asdict(LearnerConfig())})
 
 
 # ---------------------------------------------------------------------------
@@ -321,62 +355,42 @@ class SandboxPlan:
     resolved: dict
 
 
-def _shared_fields(resolved: dict) -> dict:
+def _shared_fields(typed: dict) -> dict:
     """The ``ExperimentConfig`` fields that every point of a sweep shares."""
-    steps_max = _as_int(resolved["steps_max"], "steps_max")
-    window = _as_int(resolved["window"], "window")
-    if window <= 0:
-        raise ConfigError(f"window: expected a positive integer, got {window}")
-    if steps_max <= window:
-        raise ConfigError(
-            f"steps_max: expected an integer above window ({window}), got {steps_max}"
-        )
-    return dict(
-        space=_build_space(resolved),
-        learner=_build_learner(resolved["learner"], "learner"),
-        steps_max=steps_max,
-        window=window,
-    )
+    return dict(space=_build_space(typed), learner=_build_learner(typed, "learner"),
+                steps_max=typed["steps_max"], window=typed["window"])
 
 
-def _sweep_plan(resolved: dict, points: Iterable[tuple[tuple, ExperimentConfig]]) -> SweepPlan:
+def _sweep_plan(typed: dict, resolved: dict, points: Iterable) -> SweepPlan:
     """Build every point before any runs (a lazy ``points`` builds inside
     ``_naming``): a point that cannot run fails as its ``ExperimentConfig``
-    is built. Then read the sweep-wide keys."""
+    is built."""
     with _naming():
         try:
             points = tuple(points)
         except InfeasiblePartitionError as exc:
             raise ConfigError(f"partition.etas: {exc}") from exc
-    return SweepPlan(
-        points=points,
-        seeds=_as_list(resolved["seeds"], "seeds", _as_seed),
-        plot=_as_bool(resolved["plot"], "plot"),
-        resolved=resolved,
-    )
+    return SweepPlan(points=points, seeds=typed["seeds"], plot=typed["plot"], resolved=resolved)
 
 
 def build_discrimination_plan(resolved: dict) -> SweepPlan:
     """One point per benefit, keyed ``(c_over_b,)``."""
-    shared = _shared_fields(resolved)
-    cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
-    benefits = _as_list(resolved["dilemma"]["benefits"], "dilemma.benefits")
-    inclusive = _as_bool(resolved["inclusive"], "inclusive")
-    self_play = _as_bool(resolved["self_play"], "self_play")
+    typed = _typed(resolved, DISCRIMINATION_DEFAULTS)
+    shared = _shared_fields(typed)
+    cost, benefits = typed["dilemma.cost"], typed["dilemma.benefits"]
     with _naming("dilemma"):
         dilemmas = [DilemmaParams(benefit=benefit, cost=cost) for benefit in benefits]
-    configs = (
-        ExperimentConfig(
+    # each ratio is taken once its dilemma has checked b > c > 0
+    plan = _sweep_plan(typed, resolved, (
+        ((dilemma.cost / dilemma.benefit,), ExperimentConfig(
             kind="discrimination",
             dilemma=dilemma,
-            inclusive=inclusive,
-            self_play=self_play,
+            inclusive=typed["inclusive"],
+            self_play=typed["self_play"],
             **shared,
-        )
+        ))
         for dilemma in dilemmas
-    )
-    # each ratio is taken once its dilemma has checked b > c > 0
-    plan = _sweep_plan(resolved, (((c.dilemma.cost / c.dilemma.benefit,), c) for c in configs))
+    ))
     # the ratio keys the results, so two benefits must not round to one ratio
     _distinct(tuple(c_over_b for (c_over_b,), _ in plan.points), "dilemma.benefits (as c/b)")
     return plan
@@ -384,87 +398,69 @@ def build_discrimination_plan(resolved: dict) -> SweepPlan:
 
 def build_dispersal_plan(resolved: dict) -> SweepPlan:
     """Points keyed ``(eta, b_over_c, inclusive)``, over etas, then b/c, then modes."""
-    shared = _shared_fields(resolved)
-    modes_raw = resolved["modes"]
-    if not isinstance(modes_raw, (list, tuple)) or not modes_raw:
-        raise ConfigError("modes: expected a non-empty list")
-    modes = tuple(modes_raw)
-    for mode in modes:
-        if mode not in ("inclusive", "baseline"):
-            raise ConfigError(f"modes: entries must be 'inclusive' or 'baseline', got {mode!r}")
-    _distinct(modes, "modes")
-    cost = _as_float(resolved["dilemma"]["cost"], "dilemma.cost")
-    b_over_c = _as_list(resolved["dilemma"]["b_over_c"], "dilemma.b_over_c")
-    etas = _as_list(resolved["partition"]["etas"], "partition.etas")
-    community_size = _as_int(resolved["partition"]["community_size"], "partition.community_size")
-    k_avg = _as_float(resolved["partition"]["k_avg"], "partition.k_avg")
-    edge_sampling = _as_bool(resolved["edge_sampling"], "edge_sampling")
+    typed = _typed(resolved, DISPERSAL_DEFAULTS)
+    shared = _shared_fields(typed)
+    cost, b_over_c = typed["dilemma.cost"], typed["dilemma.b_over_c"]
     with _naming("dilemma"):
         dilemmas = [DilemmaParams(benefit=boc * cost, cost=cost) for boc in b_over_c]
     # each partition field is checked under its own key
     with _naming("partition.community_size"):
-        partition = PartitionSpec(community_size, shared["space"].size, 1.0, 1.0)
+        partition = PartitionSpec(typed["partition.community_size"], shared["space"].size, 1.0, 1.0)
     with _naming("partition.k_avg"):
-        partition = replace(partition, k_avg=k_avg)
+        partition = replace(partition, k_avg=typed["partition.k_avg"])
     with _naming("partition.etas"):
-        partitions = [replace(partition, eta=eta) for eta in etas]
-    return _sweep_plan(resolved, (
+        partitions = [replace(partition, eta=eta) for eta in typed["partition.etas"]]
+    return _sweep_plan(typed, resolved, (
         ((partition.eta, boc, mode == "inclusive"), ExperimentConfig(
             kind="dispersal",
             dilemma=dilemma,
             inclusive=(mode == "inclusive"),
             partition=partition,
-            edge_sampling=edge_sampling,
+            edge_sampling=typed["edge_sampling"],
             **shared,
         ))
         for partition in partitions
         for boc, dilemma in zip(b_over_c, dilemmas)
-        for mode in modes
+        for mode in typed["modes"]
     ))
 
 
-def _build_policy(raw: dict) -> ReproductionPolicy:
-    kind = raw["kind"]
-    if kind not in POLICY_DEFAULTS:
-        raise ConfigError(f"policy.kind must be one of {tuple(POLICY_DEFAULTS)}, got {kind!r}")
-    # every key given is checked, its own kind's or not; decay may not be null
-    values = {
-        key: (_as_reward if key == "reward" else _as_float)(value, f"policy.{key}")
-        for key, value in {**POLICY_DEFAULTS[kind], **raw}.items()
-        if key != "kind"
-    }
+def _build_policy(typed: dict) -> ReproductionPolicy:
+    kind = typed["policy.kind"]
     if kind == "q":
-        return QReproductionPolicy(_build_learner(values, "policy"), values["reward"])
+        return QReproductionPolicy(_build_learner(typed, "policy"), typed["policy.reward"])
     with _naming("policy"):
         if kind == "random":
-            return RandomPolicy(values["p"])
+            return RandomPolicy(typed["policy.p"])
         if kind == "threshold":
-            return ThresholdPolicy(values["min_health"])
+            return ThresholdPolicy(typed["policy.min_health"])
     return ThresholdPolicy(math.inf if kind == "idle" else -math.inf)
 
 
 def build_sandbox_plan(resolved: dict) -> SandboxPlan:
-    space = _build_space(resolved)
-    raw_genotype = resolved["initial_genotype"]
-    if raw_genotype is None:
+    kinds, policy = tuple(POLICY_DEFAULTS), resolved["policy"]
+    if policy["kind"] not in kinds:  # a tuple: the kind may be unhashable
+        raise ConfigError(f"policy.kind must be one of {kinds}, got {policy['kind']!r}")
+    # every policy key given is typed, its own kind's or not
+    typed = _typed(
+        {**resolved, "policy": {**POLICY_DEFAULTS[policy["kind"]], **policy}}, SANDBOX_DEFAULTS
+    )
+    space = _build_space(typed)
+    if typed["initial_genotype"] is None:
         initial = (0,) * space.loci
     else:
         with _naming("initial_genotype"):
-            initial = parse_genotype(str(raw_genotype))
+            initial = parse_genotype(str(typed["initial_genotype"]))
     with _naming("mutation.mu"):
-        mutation = MutationSpec(_as_float(resolved["mutation"]["mu"], "mutation.mu"))
+        mutation = MutationSpec(typed["mutation.mu"])
     with _naming():  # each SandboxConfig message starts with its field's name
         sandbox = SandboxConfig(
             space=space,
             initial_genotype=initial,
             mutation=mutation,
-            initial_health=_as_float(resolved["initial_health"], "initial_health"),
-            food_rate=_as_int(resolved["food_rate"], "food_rate"),
-            steps=_as_int(resolved["steps"], "steps"),
-            policy=_build_policy(resolved["policy"]),
+            initial_health=typed["initial_health"],
+            food_rate=typed["food_rate"],
+            steps=typed["steps"],
+            policy=_build_policy(typed),
         )
-    return SandboxPlan(
-        sandbox=sandbox,
-        seed=_as_seed(resolved["seed"], "seed"),
-        resolved=resolved,
-    )
+    return SandboxPlan(sandbox=sandbox, seed=typed["seed"], resolved=resolved)

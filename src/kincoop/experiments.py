@@ -125,8 +125,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.steps_max > self.window > 0:
-            raise ValueError("need steps_max > window > 0")
+        if self.window <= 0:
+            raise ValueError(f"window: expected a positive integer, got {self.window}")
+        if self.steps_max <= self.window:
+            raise ValueError(
+                f"steps_max: expected an integer above window ({self.window}), got {self.steps_max}"
+            )
         # before the size is formatted or made a float: it may have thousands of digits
         if self.space.size > MAX_ENUMERABLE:
             raise ValueError(

@@ -114,6 +114,26 @@ class TestValidate:
         assert result.exit_code == 2, result.output
         assert result.output.strip().splitlines()[-1] == f"Error: {tmp_path / 'c.yaml'}: {message}"
 
+    @pytest.mark.parametrize("value", ["[1]", "{a: 1}"], ids=["list", "mapping"])
+    def test_unhashable_experiment_exits_two(self, runner, tmp_path, value):
+        # was a TypeError traceback, exit 1
+        (tmp_path / "c.yaml").write_text(f"experiment: {value}\n")
+        result = runner.invoke(main, ["validate", str(tmp_path / "c.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == (
+            "Error: config key 'experiment' must be one of "
+            f"['discrimination', 'dispersal', 'sandbox'], got {yaml.safe_load(value)!r}"
+        )
+
+    def test_file_not_utf8_exits_two(self, runner, tmp_path):
+        # was a UnicodeDecodeError traceback, exit 1
+        (tmp_path / "c.yaml").write_bytes(b"experiment: sandbox\nsteps: \xff\n")
+        result = runner.invoke(main, ["validate", str(tmp_path / "c.yaml")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == (
+            f"Error: {tmp_path / 'c.yaml'}: not UTF-8 text (byte 27)"
+        )
+
     def test_self_referencing_alias_exits_two(self, runner, tmp_path):
         # the duplicate-key walk must stop at a node it has seen
         (tmp_path / "c.yaml").write_text("experiment: discrimination\nseeds: &s [1, *s]\n")
@@ -511,9 +531,12 @@ class TestRejectedRunValues:
             (DISC_CFG, ["-s", "experiment=dispersal"],
              "experiment: an override cannot change the experiment from 'discrimination' "
              "to 'dispersal'"),
+            # a TypeError traceback: the kind was looked up in a dict
+            (SAND_CFG, ["-s", "policy.kind=[1]"],
+             "policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), got [1]"),
         ],
         ids=["sandbox-seed", "dispersal-seeds", "discrimination-seeds", "sandbox-out-dir",
-             "dispersal-out-dir", "experiment"],
+             "dispersal-out-dir", "experiment", "policy-kind"],
     )
     def test_exit_two_and_nothing_written(self, runner, tmp_path, cfg, args, message):
         result = run(runner, tmp_path, cfg, *args)
@@ -745,6 +768,11 @@ VALIDATE_TABLE = [
     ('sandbox.yaml', 'food_rate=-1', 2, 'Error: food_rate must be >= 0'),
     ('sandbox.yaml', 'policy.kind=x', 2,
      "Error: policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), got 'x'"),
+    ('sandbox.yaml', 'policy.kind=[1]', 2,
+     "Error: policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), got [1]"),
+    ('sandbox.yaml', 'policy.kind={"a":1}', 2,
+     "Error: policy.kind must be one of ('idle', 'always', 'random', 'threshold', 'q'), "
+     "got {'a': 1}"),
     ('sandbox.yaml', 'policy.kind=idle policy.p=x', 2,
      "Error: policy.p: expected a number, got 'x'"),
     ('sandbox.yaml', 'policy.kind=idle policy.min_health=x', 2,

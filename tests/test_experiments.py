@@ -97,6 +97,14 @@ FEASIBILITY_LIMITS = {
         "dispersal", dict(partition=PartitionSpec(8, 8, 9.0, 0.04)),
         dict(partition=PartitionSpec(8, 8, 9.0, 0.01)), "is infeasible",
     ),
+    "window": (
+        "discrimination", dict(window=1), dict(window=0),
+        "^window: expected a positive integer, got 0$",
+    ),
+    "steps_max": (
+        "dispersal", dict(steps_max=151), dict(steps_max=150),
+        r"^steps_max: expected an integer above window \(150\), got 150$",
+    ),
 }
 
 
